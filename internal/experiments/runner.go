@@ -76,6 +76,15 @@ type cacheEntry struct {
 	err  error
 }
 
+// result returns the entry's shared result, or nil and the error of a
+// failed run. Call it only after done has closed.
+func (e *cacheEntry) result() (*sim.Result, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
+	return &e.res, nil
+}
+
 // NewRunner builds a runner with opts.Workers pool slots (default
 // runtime.GOMAXPROCS(0)).
 func NewRunner(opts Options) *Runner {
@@ -237,11 +246,25 @@ func (r *Runner) RunHeadline(k *sim.Kernel, cfg sim.Config) (sim.Result, error) 
 // simulates, ctx (not the runner-wide context) cancels it. Coalesced
 // waiters share the executing request's fate — a cancelled executor
 // propagates its error to the waiters, and the eviction semantics mean
-// their retry re-simulates. duploserved uses this for per-job
-// cancellation on a shared runner; a nil ctx selects the runner-wide
-// context. RunCtx never predicts: single-run requests (POST /v1/runs,
-// duplosim's default) are ground-truth API surface.
+// their retry re-simulates. A nil ctx selects the runner-wide context.
+// RunCtx never predicts: single-run requests (POST /v1/runs, duplosim's
+// default) are ground-truth API surface. It returns a copy of what
+// RunShared returns.
 func (r *Runner) RunCtx(ctx context.Context, k *sim.Kernel, cfg sim.Config) (sim.Result, error) {
+	res, err := r.RunShared(ctx, k, cfg)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return *res, nil
+}
+
+// RunShared is RunCtx without the copy: it returns the memo entry's own
+// result, which callers must treat as read-only, or nil and the error
+// when the run failed. The pointer stays valid for the runner's lifetime
+// (successful entries are never evicted, and the entry is written before
+// its done channel closes), so duploserved keeps it in every finished
+// job instead of a private copy of the Result.
+func (r *Runner) RunShared(ctx context.Context, k *sim.Kernel, cfg sim.Config) (*sim.Result, error) {
 	if ctx == nil {
 		ctx = r.ctx
 	}
@@ -251,7 +274,7 @@ func (r *Runner) RunCtx(ctx context.Context, k *sim.Kernel, cfg sim.Config) (sim
 		r.mu.Unlock()
 		r.memHits.Add(1)
 		<-e.done
-		return e.res, e.err
+		return e.result()
 	}
 	e := &cacheEntry{done: make(chan struct{})}
 	r.cache[key] = e
@@ -268,7 +291,7 @@ func (r *Runner) RunCtx(ctx context.Context, k *sim.Kernel, cfg sim.Config) (sim
 			r.storeHits.Add(1)
 			e.res = rec.Result(k, cfg)
 			close(e.done)
-			return e.res, nil
+			return &e.res, nil
 		}
 	}
 
@@ -305,7 +328,7 @@ func (r *Runner) RunCtx(ctx context.Context, k *sim.Kernel, cfg sim.Config) (sim
 		}
 	}
 	close(e.done)
-	return e.res, e.err
+	return e.result()
 }
 
 // fanOutAll runs n independent tasks on the worker pool and returns one

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -153,5 +154,66 @@ func TestStoreTierBypassedWhenTracing(t *testing.T) {
 	}
 	if c := st.Counters(); c.Puts != 0 || c.Hits != 0 || c.Misses != 0 {
 		t.Fatalf("traced run touched the store: %+v", c)
+	}
+}
+
+// TestRunSharedReturnsMemoEntry pins RunShared's contract: every call for
+// a memoized key returns the same *sim.Result, whether the entry was
+// simulated or read from the store; a failed run returns nil and the
+// error; and RunCtx returns a copy equal to the shared result.
+func TestRunSharedReturnsMemoEntry(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := QuickOptions()
+	opts.Store = st
+	r := NewRunner(opts)
+	calls := 0
+	r.simFn = func(context.Context, sim.Config, *sim.Kernel, *sim.Arena) (sim.Result, error) {
+		calls++
+		if calls == 1 {
+			return sim.Result{}, errors.New("injected failure")
+		}
+		return sim.Result{Stats: sim.Stats{Cycles: 77}, SimulatedCTAs: 3}, nil
+	}
+	k, err := sim.NewConvKernel("run-shared", hammerLayer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := opts.config()
+	ctx := context.Background()
+
+	if res, err := r.RunShared(ctx, k, cfg); res != nil || err == nil {
+		t.Fatalf("failed run: res=%v err=%v, want nil and the error", res, err)
+	}
+
+	// Simulated, then a memo hit.
+	first, err := r.RunShared(ctx, k, cfg)
+	if err != nil || first.Cycles != 77 {
+		t.Fatalf("retry: res=%+v err=%v", first, err)
+	}
+	if again, err := r.RunShared(ctx, k, cfg); err != nil || again != first {
+		t.Errorf("memo hit returned %p (err %v), want the entry's %p", again, err, first)
+	}
+	if res, err := r.RunCtx(ctx, k, cfg); err != nil || !reflect.DeepEqual(res, *first) {
+		t.Errorf("RunCtx = %+v (err %v), want a copy of %+v", res, err, *first)
+	}
+
+	// A fresh runner over the same store: a store hit, then a memo hit.
+	r2 := NewRunner(opts)
+	r2.simFn = func(context.Context, sim.Config, *sim.Kernel, *sim.Arena) (sim.Result, error) {
+		t.Error("warm hit still simulated")
+		return sim.Result{}, nil
+	}
+	warm, err := r2.RunShared(ctx, k, cfg)
+	if err != nil || warm.Cycles != 77 || r2.StoreHits() != 1 {
+		t.Fatalf("store hit: res=%+v err=%v store hits %d", warm, err, r2.StoreHits())
+	}
+	if again, err := r2.RunShared(ctx, k, cfg); err != nil || again != warm {
+		t.Errorf("memo hit after a store hit returned %p (err %v), want the entry's %p", again, err, warm)
+	}
+	if res, err := r2.RunCtx(ctx, k, cfg); err != nil || !reflect.DeepEqual(res, *warm) {
+		t.Errorf("RunCtx = %+v (err %v), want a copy of %+v", res, err, *warm)
 	}
 }

@@ -415,6 +415,21 @@ func TestServerJobTTLEviction(t *testing.T) {
 	if code := getJSON(t, hs.URL+"/v1/runs/bogus", &p); code != http.StatusNotFound {
 		t.Errorf("malformed id: status %d, want 404", code)
 	}
+	// Other spellings of the issued id were never issued either.
+	for _, alias := range []string{"r1", "r0000001", "r+1", "r%201", "r1abc"} {
+		if code := getJSON(t, hs.URL+"/v1/runs/"+alias, &p); code != http.StatusNotFound {
+			t.Errorf("GET of non-canonical id %q: status %d, want 404", alias, code)
+		}
+		req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/v1/runs/"+alias, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("DELETE of non-canonical id %q: status %d, want 404", alias, resp.StatusCode)
+		}
+	}
 
 	var stz StatsZ
 	getJSON(t, hs.URL+"/statsz", &stz)

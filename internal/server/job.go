@@ -97,62 +97,64 @@ const (
 	jobInterrupted = "interrupted"
 )
 
-// job is one submitted run: its request, its cancel handle, and — once
-// finished — its result or structured error.
+// job is one submitted run. The daemon retains every finished job for
+// -job-ttl, so the record is kept small (~0.2 KB with its table slot and
+// eviction-queue entry): the id is formatted from seq on demand, cancel
+// is dropped at finish, and a done job shares the runner's memoized
+// result.
 type job struct {
-	id     string
-	req    RunRequest
-	cancel context.CancelFunc
-	// started closes when the job wins an execution slot and begins
-	// simulating (immediately at submit when admission is unbounded);
-	// done closes when it finishes either way.
-	started chan struct{}
-	done    chan struct{}
+	seq int64 // the id is jobID(seq)
+	req RunRequest
 
-	mu         sync.Mutex
-	res        sim.Result
-	err        error
-	finishedAt time.Time
+	mu     sync.Mutex
+	status string             // jobQueued → jobRunning → jobDone | jobFailed
+	cancel context.CancelFunc // nil once finished
+	res    *sim.Result        // done: the runner's shared, read-only result
+	err    error              // failed
 }
 
-// finished reports whether the job reached a terminal state, and when
-// (for TTL eviction).
-func (j *job) finished() (time.Time, bool) {
-	select {
-	case <-j.done:
-	default:
-		return time.Time{}, false
-	}
+// id is the job's external id.
+func (j *job) id() string { return jobID(j.seq) }
+
+// start marks a queued job running once it wins an execution slot.
+func (j *job) start() {
+	j.mu.Lock()
+	j.status = jobRunning
+	j.mu.Unlock()
+}
+
+// state returns the job's current status.
+func (j *job) state() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.finishedAt, true
+	return j.status
+}
+
+// stop cancels the job if it has not finished.
+func (j *job) stop() {
+	j.mu.Lock()
+	cancel := j.cancel
+	j.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
 }
 
 // snapshot renders the job's externally visible state.
 func (j *job) snapshot() JobStatus {
-	js := JobStatus{ID: j.id, Status: jobRunning, Request: j.req}
-	select {
-	case <-j.done:
-	default:
-		select {
-		case <-j.started:
-		default:
-			js.Status = jobQueued
-		}
-		return js
-	}
+	js := JobStatus{ID: j.id(), Request: j.req}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.err != nil {
-		js.Status = jobFailed
+	js.Status = j.status
+	switch j.status {
+	case jobFailed:
 		js.Error = simProblem(j.err)
-		return js
-	}
-	js.Status = jobDone
-	js.Result = &RunResult{
-		Stats:         j.res.Stats,
-		SimulatedCTAs: j.res.SimulatedCTAs,
-		TotalCTAs:     j.res.TotalCTAs,
+	case jobDone:
+		js.Result = &RunResult{
+			Stats:         j.res.Stats,
+			SimulatedCTAs: j.res.SimulatedCTAs,
+			TotalCTAs:     j.res.TotalCTAs,
+		}
 	}
 	return js
 }
@@ -209,11 +211,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Claim a slot (or a queue seat) before the job exists, so a shed
 	// submission leaves no trace.
-	slotHeld, queued := false, false
+	queued := false
 	if s.inflight != nil {
 		select {
-		case s.inflight <- struct{}{}:
-			slotHeld = true
+		case s.inflight <- struct{}{}: // the job starts running at once
 		default:
 			for {
 				q := s.queued.Load()
@@ -233,17 +234,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	jctx, cancel := context.WithCancel(s.ctx)
-	j := &job{req: rq, cancel: cancel, started: make(chan struct{}), done: make(chan struct{})}
+	j := &job{req: rq, cancel: cancel, status: jobRunning}
+	if queued {
+		j.status = jobQueued
+	}
 	s.mu.Lock()
 	s.seq++
-	j.id = fmt.Sprintf("r%06d", s.seq)
-	s.jobs[j.id] = j
+	j.seq = s.seq
+	s.jobs[j.seq] = j
 	s.mu.Unlock()
-	if slotHeld || !queued {
-		close(j.started)
-	}
 	if s.journal != nil {
-		s.journal.Start(j.id, rq)
+		s.journal.Start(j.id(), rq)
 	}
 
 	go func() {
@@ -252,13 +253,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			select {
 			case s.inflight <- struct{}{}:
 				s.queued.Add(-1)
-				close(j.started)
+				j.start()
 			case <-jctx.Done():
 				// Cancelled (or daemon shutdown) while still queued: finish
 				// with the typed cancellation error without ever running.
 				s.queued.Add(-1)
-				close(j.started)
-				s.finishJob(j, sim.Result{}, &sim.SimError{
+				s.finishJob(j, nil, &sim.SimError{
 					Phase: sim.PhaseCancelled, Reason: "cancelled while queued", Err: jctx.Err(),
 				})
 				return
@@ -267,26 +267,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if s.inflight != nil {
 			defer func() { <-s.inflight }()
 		}
-		res, err := s.runner.RunCtx(jctx, k, cfg)
+		res, err := s.runner.RunShared(jctx, k, cfg)
 		s.finishJob(j, res, err)
 	}()
 
 	writeJSON(w, http.StatusAccepted, j.snapshot())
 }
 
-// finishJob records a job's terminal state and journals it.
-func (s *Server) finishJob(j *job, res sim.Result, err error) {
+// finishJob records a job's terminal state, queues it for TTL eviction,
+// and journals it.
+func (s *Server) finishJob(j *job, res *sim.Result, err error) {
+	status := jobDone
+	if err != nil {
+		status = jobFailed
+	}
 	j.mu.Lock()
-	j.res, j.err = res, err
-	j.finishedAt = s.now()
+	j.status, j.res, j.err = status, res, err
+	j.cancel = nil
 	j.mu.Unlock()
-	close(j.done)
+	if s.jobTTL > 0 {
+		// Stamped under s.mu, so the queue is in finish order.
+		s.mu.Lock()
+		s.finished = append(s.finished, finishedJob{seq: j.seq, at: s.now().Sub(s.epoch)})
+		s.mu.Unlock()
+	}
 	if s.journal != nil {
-		status := jobDone
-		if err != nil {
-			status = jobFailed
-		}
-		s.journal.End(j.id, status)
+		s.journal.End(j.id(), status)
 	}
 }
 
@@ -297,14 +303,14 @@ func (s *Server) finishJob(j *job, res sim.Result, err error) {
 func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *job {
 	s.evictExpired()
 	id := r.PathValue("id")
+	seq, canonical := jobSeq(id)
 	s.mu.Lock()
-	j := s.jobs[id]
-	if j != nil {
+	if j := s.jobs[seq]; canonical && j != nil {
 		s.mu.Unlock()
 		return j
 	}
 	rq, wasInterrupted := s.interrupted[id]
-	issued := jobSeq(id) >= 1 && jobSeq(id) <= s.seq
+	issued := canonical && seq <= s.seq
 	s.mu.Unlock()
 	switch {
 	case wasInterrupted:
@@ -342,6 +348,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.cancel()
+	j.stop()
 	writeJSON(w, http.StatusOK, j.snapshot())
 }

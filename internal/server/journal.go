@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -76,7 +77,7 @@ func OpenJournal(path string) (*Journal, error) {
 				j.interrupted[e.ID] = *e.Req
 			}
 		}
-		if n := jobSeq(e.ID); n > j.maxSeq {
+		if n, ok := jobSeq(e.ID); ok && n > j.maxSeq {
 			j.maxSeq = n
 		}
 	}
@@ -172,12 +173,18 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// jobSeq parses the numeric part of an "r%06d" job id (0 when the id has
-// another shape).
-func jobSeq(id string) int64 {
-	var n int64
-	if _, err := fmt.Sscanf(id, "r%d", &n); err != nil {
-		return 0
+// jobID formats a job sequence number as its external id.
+func jobID(seq int64) string { return fmt.Sprintf("r%06d", seq) }
+
+// jobSeq parses a job id. Only the canonical jobID spelling parses, so
+// r1, r0000001 or r+1 never alias an issued id (ok is false for them).
+func jobSeq(id string) (seq int64, ok bool) {
+	if len(id) < 2 || id[0] != 'r' {
+		return 0, false
 	}
-	return n
+	n, err := strconv.ParseInt(id[1:], 10, 64)
+	if err != nil || n < 1 || jobID(n) != id {
+		return 0, false
+	}
+	return n, true
 }

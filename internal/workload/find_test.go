@@ -101,3 +101,15 @@ func TestTrainingGemmsInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestFindAllocatesNothing guards Find's place on the daemon's submit
+// path: a successful lookup must not allocate.
+func TestFindAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Find("YOLO", "C6"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Find allocated %.0f times per call, want 0", n)
+	}
+}

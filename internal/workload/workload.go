@@ -86,11 +86,15 @@ func AllLayers() []Layer {
 	return out
 }
 
-// Find returns the layer with the given network and name.
+// Find returns the layer with the given network and name. It runs on
+// every duploserved submit, so it scans the three tables in place and
+// allocates nothing when the layer exists.
 func Find(network, name string) (Layer, error) {
-	for _, l := range AllLayers() {
-		if l.Network == network && l.Name == name {
-			return l, nil
+	for _, layers := range [...][]Layer{ResNet, GAN, YOLO} {
+		for _, l := range layers {
+			if l.Network == network && l.Name == name {
+				return l, nil
+			}
 		}
 	}
 	return Layer{}, fmt.Errorf("workload: no layer %s/%s", network, name)
