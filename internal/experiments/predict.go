@@ -312,29 +312,22 @@ func (r *Runner) runTier(ctx context.Context, k *sim.Kernel, cfg sim.Config, hea
 		return r.RunCtx(ctx, k, cfg)
 	}
 
-	// Predicted results memoize under their own key prefix: a predicted
-	// entry can never shadow (or be shadowed by) ground truth for the same
-	// cell, and eviction/singleflight semantics carry over unchanged.
-	key := "pred|" + r.key(k.Name, cfg)
-	r.mu.Lock()
-	if e, ok := r.cache[key]; ok {
-		r.mu.Unlock()
+	// Predicted results memoize apart from ground truth, in this runner's
+	// own memo: a predicted entry can never shadow (or be shadowed by) the
+	// exact result for the same cell, and never crosses into a session
+	// that predicts from another calibration.
+	key := r.key(k.Name, cfg)
+	e, inFlight := join(&r.predMu, r.preds, key)
+	if inFlight {
 		r.memHits.Add(1)
 		<-e.done
 		return e.res, e.err
 	}
-	e := &cacheEntry{done: make(chan struct{})}
-	r.cache[key] = e
-	r.mu.Unlock()
 	res, ok := cal.PredictResult(k, cfg)
 	if !ok {
 		// Unreachable (Model gate-checked above) — but degrade, don't trust.
 		e.err = fmt.Errorf("predictor: no model for %s", k.Name)
-		r.mu.Lock()
-		if r.cache[key] == e {
-			delete(r.cache, key)
-		}
-		r.mu.Unlock()
+		evict(&r.predMu, r.preds, key, e)
 		close(e.done)
 		return r.RunCtx(ctx, k, cfg)
 	}

@@ -116,6 +116,106 @@ func TestRunnerEvictsFailedRuns(t *testing.T) {
 	}
 }
 
+// TestRunnerCancelledFlightRetriesWaiters pins the cancellation side of
+// the singleflight cache: when the request executing a cell is cancelled,
+// a coalesced waiter whose own context is live retries and gets the
+// result instead of the executor's cancellation, while a waiter whose own
+// context is cancelled too keeps the error. Deadlines are not retried: a
+// flight that ran out of time fails its waiters as before.
+func TestRunnerCancelledFlightRetriesWaiters(t *testing.T) {
+	opts := QuickOptions()
+	opts.MaxCTAs = 4
+	opts.SimSMs = 1
+	opts.Workers = 4
+	r := NewRunner(opts)
+	var calls atomic.Int64
+	started := make(chan struct{})
+	var cause error // the first flight's error cause, set before each flight starts
+	r.simFn = func(ctx context.Context, _ sim.Config, _ *sim.Kernel, _ *sim.Arena) (sim.Result, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-ctx.Done()
+			return sim.Result{}, &sim.SimError{Phase: sim.PhaseCancelled, Reason: "test flight", Err: cause}
+		}
+		return sim.Result{Stats: sim.Stats{Cycles: 4321}}, nil
+	}
+	cfg := opts.config()
+
+	// waitJoined blocks until n requests have joined the executing flight.
+	waitJoined := func(n int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for r.memHits.Load() < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d waiters joined the flight", r.memHits.Load(), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	type outcome struct {
+		res sim.Result
+		err error
+	}
+	run := func(ctx context.Context, k *sim.Kernel) chan outcome {
+		ch := make(chan outcome, 1)
+		go func() {
+			res, err := r.RunCtx(ctx, k, cfg)
+			ch <- outcome{res, err}
+		}()
+		return ch
+	}
+
+	k, err := sim.NewConvKernel("retry-cancel", hammerLayer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cause = context.Canceled
+	execCtx, cancelExec := context.WithCancel(context.Background())
+	exec := run(execCtx, k)
+	<-started
+	deadCtx, cancelDead := context.WithCancel(context.Background())
+	live, dead := run(context.Background(), k), run(deadCtx, k)
+	waitJoined(2)
+	cancelDead()
+	cancelExec()
+	if o := <-exec; !errors.Is(o.err, context.Canceled) {
+		t.Fatalf("cancelled executor: got %v, want context.Canceled", o.err)
+	}
+	if o := <-dead; !errors.Is(o.err, context.Canceled) {
+		t.Fatalf("waiter with a cancelled context: got %v, want context.Canceled", o.err)
+	}
+	if o := <-live; o.err != nil || o.res.Cycles != 4321 {
+		t.Fatalf("live waiter: res=%+v err=%v, want the retried result", o.res.Stats, o.err)
+	}
+	if got := r.Execs(); got != 2 {
+		t.Fatalf("executed %d simulations, want 2 (the cancelled flight and the live waiter's retry)", got)
+	}
+
+	// A flight that ran out of time fails its waiters: no retry.
+	calls.Store(0)
+	r.memHits.Store(0)
+	started = make(chan struct{})
+	k2, err := sim.NewConvKernel("retry-deadline", hammerLayer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cause = context.DeadlineExceeded
+	execCtx, cancelExec = context.WithCancel(context.Background())
+	defer cancelExec()
+	exec = run(execCtx, k2)
+	<-started
+	live = run(context.Background(), k2)
+	waitJoined(1)
+	cancelExec()
+	<-exec
+	if o := <-live; !errors.Is(o.err, context.DeadlineExceeded) {
+		t.Fatalf("waiter on a timed-out flight: got %v, want context.DeadlineExceeded", o.err)
+	}
+	if got := r.Execs(); got != 3 {
+		t.Fatalf("executed %d simulations, want 3 (no retry after a deadline)", got)
+	}
+}
+
 // TestFanOutDrainAndFirstError pins the degradation contract of the
 // fan-out primitives at both pool widths: every task runs even when some
 // fail or panic (no early exit leaving outputs half-written), errors land

@@ -35,6 +35,31 @@ type Runner struct {
 	sink    *report.Sink    // nil unless Verbose
 	ctx     context.Context // cancels in-flight and future simulations
 
+	// shared is the ground truth this runner has in common with every
+	// Session made from it (or from its parent): the exact-result memo,
+	// the disk tier, the simulator-state pool and the simulate function.
+	*shared
+
+	// Calibrated analytical predictor state (predict.go), owned by this
+	// runner alone: the installed calibration (nil until first use), a
+	// remembered fit failure so a broken calibration degrades to ground
+	// truth once instead of re-fitting per cell, the lock serializing
+	// first-use fitting, and the singleflight memo of results predicted
+	// under this runner's calibration.
+	calMu  sync.Mutex
+	cal    *predictor.Calibration
+	calErr error
+	predMu sync.Mutex
+	preds  map[string]*cacheEntry
+
+	execs     atomic.Int64 // simulations actually executed (all tiers missed)
+	memHits   atomic.Int64 // runs served from the in-memory singleflight cache
+	storeHits atomic.Int64 // runs served from the disk tier
+	predicted atomic.Int64 // runs synthesized by the analytical predictor
+}
+
+// shared is the part of a Runner its sessions share (see Session).
+type shared struct {
 	// simFn executes one simulation (sim.RunPooledContext; the arena is nil
 	// when state pooling is disabled). It is a seam the robustness tests
 	// override to inject deterministic per-cell failures.
@@ -42,7 +67,8 @@ type Runner struct {
 
 	// arenas pools per-run simulator state across the sweep's cells
 	// (sim.Arena): an executing simulation takes one arena, runs with it,
-	// and returns it, so at most Workers arenas exist and each is reused by
+	// and returns it, so there are at most as many arenas as simulations
+	// executing at once (Workers per runner or session), each reused by
 	// whichever cell executes next. Arenas self-invalidate on failed runs,
 	// making the recycle unconditional. nil when Options.DisableStatePool.
 	arenas *sync.Pool
@@ -52,21 +78,9 @@ type Runner struct {
 	// are persisted through it. nil = memory-only, the pre-store behavior.
 	store *store.Store
 
+	// cache memoizes exact (cycle-sim) results by key; mu guards it.
 	mu    sync.Mutex
 	cache map[string]*cacheEntry
-
-	// Calibrated analytical predictor state (predict.go): the installed
-	// calibration (nil until first use), a remembered fit failure so a
-	// broken calibration degrades to ground truth once instead of
-	// re-fitting per cell, and the lock serializing first-use fitting.
-	calMu  sync.Mutex
-	cal    *predictor.Calibration
-	calErr error
-
-	execs     atomic.Int64 // simulations actually executed (all tiers missed)
-	memHits   atomic.Int64 // runs served from the in-memory singleflight cache
-	storeHits atomic.Int64 // runs served from the disk tier
-	predicted atomic.Int64 // runs synthesized by the analytical predictor
 }
 
 // cacheEntry is one singleflight slot: done closes when res/err are final.
@@ -85,9 +99,50 @@ func (e *cacheEntry) result() (*sim.Result, error) {
 	return &e.res, nil
 }
 
+// join returns key's entry in memo m and true when a request for it is
+// already in flight or done; otherwise it installs a fresh entry, which
+// the caller must fill and close, and returns false.
+func join(mu *sync.Mutex, m map[string]*cacheEntry, key string) (*cacheEntry, bool) {
+	mu.Lock()
+	defer mu.Unlock()
+	if e, ok := m[key]; ok {
+		return e, true
+	}
+	e := &cacheEntry{done: make(chan struct{})}
+	m[key] = e
+	return e, false
+}
+
+// evict removes a failed entry from memo m before its waiters wake, so a
+// later request retries instead of being served a poisoned key. It guards
+// on identity: a retry may have installed a fresh entry in the window.
+func evict(mu *sync.Mutex, m map[string]*cacheEntry, key string, e *cacheEntry) {
+	mu.Lock()
+	if m[key] == e {
+		delete(m, key)
+	}
+	mu.Unlock()
+}
+
 // NewRunner builds a runner with opts.Workers pool slots (default
 // runtime.GOMAXPROCS(0)).
 func NewRunner(opts Options) *Runner {
+	sh := &shared{
+		simFn: sim.RunPooledContext,
+		store: opts.Store,
+		cache: make(map[string]*cacheEntry),
+	}
+	if !opts.DisableStatePool {
+		sh.arenas = &sync.Pool{New: func() interface{} { return sim.NewArena() }}
+	}
+	if opts.Faults != nil {
+		sh.simFn = faultWrap(opts.Faults, sh.simFn)
+	}
+	return newRunner(opts, sh)
+}
+
+// newRunner builds the per-runner half around sh.
+func newRunner(opts Options, sh *shared) *Runner {
 	w := opts.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -104,23 +159,31 @@ func NewRunner(opts Options) *Runner {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := &Runner{
+	return &Runner{
 		opts:    opts,
 		workers: w,
 		sem:     make(chan struct{}, w),
 		sink:    sink,
 		ctx:     ctx,
-		simFn:   sim.RunPooledContext,
-		store:   opts.Store,
-		cache:   make(map[string]*cacheEntry),
+		shared:  sh,
+		preds:   make(map[string]*cacheEntry),
 	}
-	if !opts.DisableStatePool {
-		r.arenas = &sync.Pool{New: func() interface{} { return sim.NewArena() }}
-	}
-	if opts.Faults != nil {
-		r.simFn = faultWrap(opts.Faults, r.simFn)
-	}
-	return r
+}
+
+// Session returns a runner for one request's worth of work — a
+// duploserved sweep — on r's ground truth. The session shares r's exact-
+// result memo, disk store, simulator-state pool and simulate function
+// (fault wrapper included), so a cell that r, or any other session of
+// it, already resolved is a memo hit: no store read, no simulation. It
+// owns everything scoped to the request: ctx cancels its simulations,
+// progress (nil = none) receives its progress lines, and it has its own
+// Workers pool slots, its own counters, and its own predictor state — its
+// calibration is loaded or fitted on first use like a fresh runner's, and
+// its predicted cells never cross into r or another session.
+func (r *Runner) Session(ctx context.Context, progress func(string)) *Runner {
+	opts := r.opts
+	opts.Context, opts.Verbose, opts.Progress = ctx, progress != nil, progress
+	return newRunner(opts, r.shared)
 }
 
 // faultWrap layers a SimFaultInjector over the simulate function: injected
@@ -244,9 +307,12 @@ func (r *Runner) RunHeadline(k *sim.Kernel, cfg sim.Config) (sim.Result, error) 
 // RunCtx is the exact-tier Run with an explicit context governing this
 // request's execution: when this request ends up being the one that
 // simulates, ctx (not the runner-wide context) cancels it. Coalesced
-// waiters share the executing request's fate — a cancelled executor
-// propagates its error to the waiters, and the eviction semantics mean
-// their retry re-simulates. A nil ctx selects the runner-wide context.
+// waiters share the executing request's fate, with one exception: when
+// the executor was cancelled (its error wraps context.Canceled) and the
+// waiter's own ctx is still live, the waiter retries — the eviction
+// semantics mean it joins a newer flight or simulates itself — so one
+// client's cancellation never fails another's request. Deadlines and
+// every other error propagate. A nil ctx selects the runner-wide context.
 // RunCtx never predicts: single-run requests (POST /v1/runs, duplosim's
 // default) are ground-truth API surface. It returns a copy of what
 // RunShared returns.
@@ -269,16 +335,20 @@ func (r *Runner) RunShared(ctx context.Context, k *sim.Kernel, cfg sim.Config) (
 		ctx = r.ctx
 	}
 	key := r.key(k.Name, cfg)
-	r.mu.Lock()
-	if e, ok := r.cache[key]; ok {
-		r.mu.Unlock()
+	e, inFlight := join(&r.mu, r.cache, key)
+	for inFlight {
 		r.memHits.Add(1)
 		<-e.done
-		return e.result()
+		res, err := e.result()
+		if !errors.Is(err, context.Canceled) || ctx.Err() != nil {
+			return res, err
+		}
+		// The executor's request was cancelled, not this one, so the memo
+		// did not serve it after all. The failed entry is already evicted:
+		// this joins a newer flight or installs its own.
+		r.memHits.Add(-1)
+		e, inFlight = join(&r.mu, r.cache, key)
 	}
-	e := &cacheEntry{done: make(chan struct{})}
-	r.cache[key] = e
-	r.mu.Unlock()
 
 	// Disk tier. Traced runs bypass it in both directions: a collector
 	// must observe an actual execution, and its result (byte-identical by
@@ -310,15 +380,10 @@ func (r *Runner) RunShared(ctx context.Context, k *sim.Kernel, cfg sim.Config) (
 	<-r.sem
 	if e.err != nil {
 		// Evict before closing done: once waiters wake, the failed key
-		// must already be gone. Guard on identity — a retry may have
-		// installed a fresh entry in the window. Nothing is persisted, so
-		// the disk tier inherits the same semantics: a failed run can
-		// never be served from the store.
-		r.mu.Lock()
-		if r.cache[key] == e {
-			delete(r.cache, key)
-		}
-		r.mu.Unlock()
+		// must already be gone. Nothing is persisted, so the disk tier
+		// inherits the same semantics: a failed run can never be served
+		// from the store.
+		evict(&r.mu, r.cache, key, e)
 	} else if persist {
 		// Best-effort: a full disk must not fail the sweep. The error is
 		// surfaced on the progress sink and in the store's PutErrors

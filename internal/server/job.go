@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	duplo "duplo/internal/core"
@@ -88,7 +87,7 @@ func (rq RunRequest) build(opts experiments.Options) (*sim.Kernel, sim.Config, e
 	return k, cfg, nil
 }
 
-// Job states.
+// Job states as the wire names them.
 const (
 	jobQueued      = "queued"
 	jobRunning     = "running"
@@ -97,63 +96,116 @@ const (
 	jobInterrupted = "interrupted"
 )
 
-// job is one submitted run. The daemon retains every finished job for
-// -job-ttl, so the record is kept small (~0.2 KB with its table slot and
-// eviction-queue entry): the id is formatted from seq on demand, cancel
-// is dropped at finish, and a done job shares the runner's memoized
-// result.
-type job struct {
-	seq int64 // the id is jobID(seq)
-	req RunRequest
+// jobState is a job's state as the table keeps it.
+type jobState uint8
 
-	mu     sync.Mutex
-	status string             // jobQueued → jobRunning → jobDone | jobFailed
+const (
+	stateQueued jobState = iota
+	stateRunning
+	stateDone
+	stateFailed
+	numJobStates
+)
+
+var jobStateNames = [numJobStates]string{jobQueued, jobRunning, jobDone, jobFailed}
+
+// String returns the state's wire name.
+func (st jobState) String() string { return jobStateNames[st] }
+
+// job is one submitted run. The daemon retains every finished job for
+// -job-ttl, so the record is packed into 80 B whatever the request: the
+// id is formatted from seq on demand, the request's network and layer
+// are its index in the Table I catalog, cancel is dropped at finish, and
+// a done job shares the runner's memoized result. Server.mu guards
+// state, cancel and out.
+type job struct {
+	seq    int64              // the id is jobID(seq)
 	cancel context.CancelFunc // nil once finished
-	res    *sim.Result        // done: the runner's shared, read-only result
-	err    error              // failed
+	out    any                // done: the runner's shared, read-only *sim.Result; failed: the error
+
+	// The request, packed (a RunRequest is 88 B and holds two strings);
+	// request unpacks it.
+	batch, lhbEntries, lhbWays int
+	maxCycles, wallTimeoutMS   int64
+	layer                      uint8 // index into catalog
+	duplo, lhbOracle           bool
+
+	state jobState // stateQueued → stateRunning → stateDone | stateFailed
+}
+
+// catalog is the Table I layer list that a job's layer indexes.
+var catalog = workload.AllLayers()
+
+// newJob packs rq, a request that built, into a job in state st.
+func newJob(rq RunRequest, st jobState) *job {
+	j := &job{
+		batch: rq.Batch, lhbEntries: rq.LHBEntries, lhbWays: rq.LHBWays,
+		maxCycles: rq.MaxCycles, wallTimeoutMS: rq.WallTimeoutMS,
+		duplo: rq.Duplo, lhbOracle: rq.LHBOracle,
+		state: st,
+	}
+	for i, l := range catalog {
+		if l.Network == rq.Network && l.Name == rq.Layer {
+			j.layer = uint8(i)
+			break
+		}
+	}
+	return j
+}
+
+// request returns the job's RunRequest as it was submitted.
+func (j *job) request() RunRequest {
+	l := catalog[j.layer]
+	return RunRequest{
+		Network: l.Network, Layer: l.Name, Batch: j.batch,
+		Duplo: j.duplo, LHBEntries: j.lhbEntries, LHBWays: j.lhbWays, LHBOracle: j.lhbOracle,
+		MaxCycles: j.maxCycles, WallTimeoutMS: j.wallTimeoutMS,
+	}
 }
 
 // id is the job's external id.
 func (j *job) id() string { return jobID(j.seq) }
 
-// start marks a queued job running once it wins an execution slot.
-func (j *job) start() {
-	j.mu.Lock()
-	j.status = jobRunning
-	j.mu.Unlock()
+// setState moves j to st and keeps the per-state counts in step.
+// Callers hold s.mu.
+func (s *Server) setState(j *job, st jobState) {
+	s.counts[j.state]--
+	j.state = st
+	s.counts[st]++
 }
 
-// state returns the job's current status.
-func (j *job) state() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status
+// startJob marks a queued job running once it wins an execution slot.
+func (s *Server) startJob(j *job) {
+	s.mu.Lock()
+	s.setState(j, stateRunning)
+	s.mu.Unlock()
 }
 
-// stop cancels the job if it has not finished.
-func (j *job) stop() {
-	j.mu.Lock()
+// stopJob cancels the job if it has not finished.
+func (s *Server) stopJob(j *job) {
+	s.mu.Lock()
 	cancel := j.cancel
-	j.mu.Unlock()
+	s.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
 }
 
 // snapshot renders the job's externally visible state.
-func (j *job) snapshot() JobStatus {
-	js := JobStatus{ID: j.id(), Request: j.req}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	js.Status = j.status
-	switch j.status {
-	case jobFailed:
-		js.Error = simProblem(j.err)
-	case jobDone:
+func (s *Server) snapshot(j *job) JobStatus {
+	s.mu.Lock()
+	st, out := j.state, j.out
+	s.mu.Unlock()
+	js := JobStatus{ID: j.id(), Status: st.String(), Request: j.request()}
+	switch st {
+	case stateFailed:
+		js.Error = simProblem(out.(error))
+	case stateDone:
+		res := out.(*sim.Result)
 		js.Result = &RunResult{
-			Stats:         j.res.Stats,
-			SimulatedCTAs: j.res.SimulatedCTAs,
-			TotalCTAs:     j.res.TotalCTAs,
+			Stats:         res.Stats,
+			SimulatedCTAs: res.SimulatedCTAs,
+			TotalCTAs:     res.TotalCTAs,
 		}
 	}
 	return js
@@ -234,14 +286,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	jctx, cancel := context.WithCancel(s.ctx)
-	j := &job{req: rq, cancel: cancel, status: jobRunning}
+	st := stateRunning
 	if queued {
-		j.status = jobQueued
+		st = stateQueued
 	}
+	j := newJob(rq, st)
+	j.cancel = cancel
 	s.mu.Lock()
 	s.seq++
 	j.seq = s.seq
 	s.jobs[j.seq] = j
+	s.counts[j.state]++
 	s.mu.Unlock()
 	if s.journal != nil {
 		s.journal.Start(j.id(), rq)
@@ -253,7 +308,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			select {
 			case s.inflight <- struct{}{}:
 				s.queued.Add(-1)
-				j.start()
+				s.startJob(j)
 			case <-jctx.Done():
 				// Cancelled (or daemon shutdown) while still queued: finish
 				// with the typed cancellation error without ever running.
@@ -271,28 +326,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.finishJob(j, res, err)
 	}()
 
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	writeJSON(w, http.StatusAccepted, s.snapshot(j))
 }
 
 // finishJob records a job's terminal state, queues it for TTL eviction,
 // and journals it.
 func (s *Server) finishJob(j *job, res *sim.Result, err error) {
-	status := jobDone
+	st, out := stateDone, any(res)
 	if err != nil {
-		status = jobFailed
+		st, out = stateFailed, err
 	}
-	j.mu.Lock()
-	j.status, j.res, j.err = status, res, err
-	j.cancel = nil
-	j.mu.Unlock()
+	s.mu.Lock()
+	s.setState(j, st)
+	j.out, j.cancel = out, nil
 	if s.jobTTL > 0 {
 		// Stamped under s.mu, so the queue is in finish order.
-		s.mu.Lock()
 		s.finished = append(s.finished, finishedJob{seq: j.seq, at: s.now().Sub(s.epoch)})
-		s.mu.Unlock()
 	}
+	s.mu.Unlock()
 	if s.journal != nil {
-		s.journal.End(j.id(), status)
+		s.journal.End(j.id(), st.String())
 	}
 }
 
@@ -335,7 +388,7 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *job {
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	if j := s.lookupJob(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.snapshot())
+		writeJSON(w, http.StatusOK, s.snapshot(j))
 	}
 }
 
@@ -348,6 +401,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.stop()
-	writeJSON(w, http.StatusOK, j.snapshot())
+	s.stopJob(j)
+	writeJSON(w, http.StatusOK, s.snapshot(j))
 }

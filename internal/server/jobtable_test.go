@@ -120,25 +120,48 @@ func TestServerEvictionOrder(t *testing.T) {
 }
 
 // TestServerFinishedJobFootprint bounds what a retained job costs: 5,000
-// jobs for one warm cell, submitted through the handler and finished,
-// may add at most 320 B of live heap each (the record, its table slot and
-// its eviction-queue entry). Jobs go in batches of 100, so the runtime's
-// pool of exited goroutines, which a burst would grow, is already full
-// when the baseline is taken.
+// jobs, submitted through the handler and finished, may add at most
+// 144 B of live heap each (the record, its map slot and its
+// eviction-queue entry). It measures twice: once with one request
+// repeated, and once with every request distinct (baseline jobs that set
+// lhb_entries, which only Duplo jobs use, so all are still served from
+// one memoized cell). Jobs go in batches of 100, so the runtime's pool of
+// exited goroutines, which a burst would grow, is already full when the
+// baseline is taken.
 func TestServerFinishedJobFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
+	for _, tc := range []struct {
+		name string
+		req  func(i int) RunRequest
+	}{
+		{"repeated", func(int) RunRequest { return RunRequest{Network: "ResNet", Layer: "C2", Duplo: true} }},
+		{"distinct", func(i int) RunRequest { return RunRequest{Network: "ResNet", Layer: "C2", LHBEntries: i + 1} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			perJob := finishedJobFootprint(t, tc.req)
+			if perJob > 144 {
+				t.Errorf("%d B of live heap per finished job, want <= 144", perJob)
+			}
+		})
+	}
+}
+
+// finishedJobFootprint returns the live heap each of 5,000 finished jobs
+// adds, the i-th job submitting req(i).
+func finishedJobFootprint(t *testing.T, req func(i int) RunRequest) int64 {
+	t.Helper()
 	s := New(Config{Options: quickOpts(), JobTTL: time.Hour})
 	h := s.Handler()
-	body, err := json.Marshal(RunRequest{Network: "ResNet", Layer: "C2", Duplo: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	jobs := 0
 	batch := func() {
 		t.Helper()
 		for i := 0; i < 100; i++ {
+			body, err := json.Marshal(req(jobs + i))
+			if err != nil {
+				t.Fatal(err)
+			}
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body)))
 			if rec.Code != http.StatusAccepted {
@@ -182,10 +205,145 @@ func TestServerFinishedJobFootprint(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(s)
+	if execs := s.runner.Execs(); execs != 1 {
+		t.Fatalf("%d simulations, want 1: the jobs must share one cell", execs)
+	}
 	perJob := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
 	t.Logf("%d B of live heap per finished job (%d objects per job)", perJob,
 		(int64(after.HeapObjects)-int64(before.HeapObjects))/n)
-	if perJob > 320 {
-		t.Errorf("%d B of live heap per finished job, want <= 320", perJob)
+	return perJob
+}
+
+// tableCounts counts the table's jobs by state with a walk: the reference
+// that /statsz's per-state counters must equal.
+func tableCounts(s *Server) (counts [numJobStates]int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range s.jobs {
+		counts[j.state]++
+	}
+	return counts
+}
+
+// TestServerStatszCountsMatchTable: /statsz reads per-state counters kept
+// in step with every transition instead of walking the table; on a mixed
+// population — one queued, one running, one failed, plus done and evicted
+// jobs — they must equal a walk of the table.
+func TestServerStatszCountsMatchTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	in, err := fault.Parse("sim-delay:every=1,delay=60s,match=GAN", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := quickOpts()
+	opts.Faults = in
+	ck := &mutexClock{at: time.Unix(1_700_000_000, 0)}
+	s, hs := chaosServer(t, Config{Options: opts, MaxInflight: 1, QueueCap: 4, JobTTL: time.Hour, Now: ck.now})
+	submit := func(rq RunRequest) JobStatus {
+		t.Helper()
+		var js JobStatus
+		if code := postJSON(t, hs.URL+"/v1/runs", rq, &js); code != http.StatusAccepted {
+			t.Fatalf("submit %+v: status %d", rq, code)
+		}
+		return js
+	}
+	cancel := func(id string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/v1/runs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	c2 := RunRequest{Network: "ResNet", Layer: "C2"}
+
+	// One job finishes and is evicted an hour later; another finishes then.
+	if js := pollJob(t, hs.URL, submit(c2).ID, 30*time.Second); js.Status != jobDone {
+		t.Fatalf("job finished %q, want done", js.Status)
+	}
+	ck.advance(2 * time.Hour)
+	if js := pollJob(t, hs.URL, submit(c2).ID, 30*time.Second); js.Status != jobDone {
+		t.Fatalf("job finished %q, want done", js.Status)
+	}
+	// A finished job's goroutine frees its execution slot just after the
+	// job reports done; once it has, the held job claims the slot at
+	// submit. The next two queue behind it, and the first of those is
+	// cancelled while queued.
+	for deadline := time.Now().Add(10 * time.Second); len(s.inflight) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("execution slot still taken after the jobs finished")
+		}
+	}
+	held := submit(RunRequest{Network: "GAN", Layer: "TC4", Duplo: true})
+	failed := submit(c2)
+	queued := submit(RunRequest{Network: "ResNet", Layer: "C3"})
+	if held.Status != jobRunning || failed.Status != jobQueued || queued.Status != jobQueued {
+		t.Fatalf("jobs are %q, %q and %q, want running, queued, queued", held.Status, failed.Status, queued.Status)
+	}
+	cancel(failed.ID)
+	if js := pollJob(t, hs.URL, failed.ID, 10*time.Second); js.Status != jobFailed {
+		t.Fatalf("job cancelled while queued ended %q, want failed", js.Status)
+	}
+
+	var st StatsZ
+	getJSON(t, hs.URL+"/statsz", &st)
+	walk := tableCounts(s)
+	got := [numJobStates]int{st.JobsQueued, st.JobsRunning, st.JobsDone, st.JobsFailed}
+	if got != walk {
+		t.Errorf("statsz queued/running/done/failed = %v, a walk of the table counts %v", got, walk)
+	}
+	if want := [numJobStates]int{1, 1, 1, 1}; walk != want {
+		t.Errorf("table holds %v queued/running/done/failed, want %v", walk, want)
+	}
+	if st.JobsTotal != 4 || st.JobsEvicted != 1 {
+		t.Errorf("statsz total=%d evicted=%d, want 4/1", st.JobsTotal, st.JobsEvicted)
+	}
+
+	// The queued job goes first, so it never gets the held job's slot.
+	cancel(queued.ID)
+	cancel(held.ID)
+	for _, id := range []string{queued.ID, held.ID} {
+		if js := pollJob(t, hs.URL, id, 10*time.Second); js.Status != jobFailed {
+			t.Fatalf("cancelled job %s ended %q, want failed", id, js.Status)
+		}
+	}
+	getJSON(t, hs.URL+"/statsz", &st)
+	if got, walk := [numJobStates]int{st.JobsQueued, st.JobsRunning, st.JobsDone, st.JobsFailed}, tableCounts(s); got != walk {
+		t.Errorf("after the cancellations statsz counts %v, a walk of the table counts %v", got, walk)
+	}
+}
+
+// TestJobRequestRoundTrip: a job keeps its request packed, and unpacks
+// exactly what was submitted, for every Table I layer and with every
+// field set; through the handler, the 202 and the finished job both echo
+// the request.
+func TestJobRequestRoundTrip(t *testing.T) {
+	for _, l := range catalog {
+		for _, rq := range []RunRequest{
+			{Network: l.Network, Layer: l.Name},
+			{Network: l.Network, Layer: l.Name, Batch: 3, Duplo: true, LHBEntries: 1 << 40, LHBWays: 7,
+				LHBOracle: true, MaxCycles: 1<<62 + 1, WallTimeoutMS: 1<<50 + 3},
+		} {
+			if got := newJob(rq, stateQueued).request(); got != rq {
+				t.Errorf("packed %+v, unpacked %+v", rq, got)
+			}
+		}
+	}
+	if testing.Short() {
+		return
+	}
+
+	_, hs := chaosServer(t, Config{Options: quickOpts()})
+	rq := RunRequest{Network: "ResNet", Layer: "C2", Duplo: true, LHBEntries: 512, LHBWays: 2,
+		MaxCycles: 1 << 40, WallTimeoutMS: 3_600_000}
+	var js JobStatus
+	if code := postJSON(t, hs.URL+"/v1/runs", rq, &js); code != http.StatusAccepted || js.Request != rq {
+		t.Fatalf("submit: status %d, request %+v, want 202 echoing %+v", code, js.Request, rq)
+	}
+	if js = pollJob(t, hs.URL, js.ID, 30*time.Second); js.Status != jobDone || js.Request != rq {
+		t.Fatalf("job %s: %q with request %+v, want done with %+v", js.ID, js.Status, js.Request, rq)
 	}
 }

@@ -10,13 +10,15 @@
 //	GET    /healthz          liveness
 //	GET    /statsz           cache/store/job counters
 //
-// All jobs share one experiments.Runner, so concurrent clients requesting
-// the same cell coalesce onto a single simulation (the PR 1 singleflight
-// machinery), and every successful run lands in the content-addressed
-// disk store (internal/store) where it outlives the process. Per-job
-// MaxCycles/WallTimeout budgets and cancellation ride on the PR 5
-// RunContext/SimError plumbing; a failed or cancelled job reports the
-// SimError's phase/cycle/dump as JSON instead of a stack trace.
+// All jobs share one experiments.Runner, and every sweep runs on a session
+// of it, so concurrent clients requesting the same cell coalesce onto a
+// single simulation (the runner's singleflight memo), a cell resolved
+// once is served from memory afterwards, and every successful run lands
+// in the content-addressed disk store (internal/store) where it outlives
+// the process. Per-job MaxCycles/WallTimeout budgets and cancellation
+// ride on the sim.RunContext/SimError plumbing; a failed or cancelled
+// job reports the SimError's phase/cycle/dump as JSON instead of a stack
+// trace.
 package server
 
 import (
@@ -82,6 +84,9 @@ type Server struct {
 
 	mu   sync.Mutex
 	jobs map[int64]*job // by sequence number
+	// counts tallies the table's jobs by state, kept in step by every
+	// transition, so /statsz reads them in O(1).
+	counts [numJobStates]int
 	// finished holds finished jobs in finish order (only with a JobTTL):
 	// the eviction queue, whose expired entries form a prefix.
 	finished    []finishedJob
@@ -113,9 +118,9 @@ type Server struct {
 	sweepPredicted atomic.Int64 // cumulative predictor-synthesized cells across finished sweeps
 }
 
-// New builds a Server. The shared job runner is created here; sweeps get
-// per-request runners (their progress streams belong to one response) that
-// share the same disk store.
+// New builds a Server. The shared job runner is created here; each sweep
+// runs on a session of it (experiments.Runner.Session), whose progress
+// stream belongs to one response.
 func New(cfg Config) *Server {
 	opts := cfg.Options
 	opts.Store = cfg.Store
@@ -164,7 +169,7 @@ type finishedJob struct {
 }
 
 // evictExpired drops completed/failed jobs whose TTL has lapsed. Called
-// lazily from the handlers that touch the job map — no background
+// lazily from the handlers that touch the job table — no background
 // goroutine to manage, and with the Now seam eviction is deterministic
 // under test. Only finished jobs are queued, in finish order, so the
 // expired ones are a prefix of the queue and a call costs O(jobs
@@ -179,7 +184,9 @@ func (s *Server) evictExpired() {
 	defer s.mu.Unlock()
 	n := 0
 	for n < len(s.finished) && s.finished[n].at < cutoff {
-		delete(s.jobs, s.finished[n].seq)
+		seq := s.finished[n].seq
+		s.counts[s.jobs[seq].state]--
+		delete(s.jobs, seq)
 		n++
 	}
 	// Reslicing drops the evicted prefix; append reallocates when it
@@ -262,8 +269,9 @@ type StatsZ struct {
 	// Workers is the shared job runner's pool width.
 	Workers int `json:"workers"`
 	// Execs counts simulations the shared job runner actually executed
-	// (both cache tiers missed). Sweeps run on per-request runners; their
-	// executed simulations accumulate in SweepExecs as each sweep ends.
+	// (both cache tiers missed). Sweeps run on sessions with their own
+	// counters; their executed simulations accumulate in SweepExecs as
+	// each sweep ends.
 	Execs      int64 `json:"execs"`
 	StoreHits  int64 `json:"store_hits"`
 	SweepExecs int64 `json:"sweep_execs"`
@@ -313,19 +321,11 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.Lock()
 	st.JobsTotal = len(s.jobs)
+	st.JobsQueued = s.counts[stateQueued]
+	st.JobsRunning = s.counts[stateRunning]
+	st.JobsDone = s.counts[stateDone]
+	st.JobsFailed = s.counts[stateFailed]
 	st.JobsInterrupted = len(s.interrupted)
-	for _, j := range s.jobs {
-		switch j.state() {
-		case jobQueued:
-			st.JobsQueued++
-		case jobRunning:
-			st.JobsRunning++
-		case jobDone:
-			st.JobsDone++
-		case jobFailed:
-			st.JobsFailed++
-		}
-	}
 	s.mu.Unlock()
 	if s.store != nil {
 		c := s.store.Counters()

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"duplo/internal/experiments"
 	"duplo/internal/report"
 )
 
@@ -30,12 +29,14 @@ type SweepEvent struct {
 	Message string     `json:"message,omitempty"`
 	Table   *TableJSON `json:"table,omitempty"`
 	Problem *Problem   `json:"problem,omitempty"`
-	// Done-event counters: how many simulations this sweep actually
-	// executed vs served warm from the disk store vs synthesized by the
-	// calibrated predictor ("~"-marked cells).
+	// Done-event counters: how many of this sweep's cells it actually
+	// simulated vs served warm from the disk store vs synthesized by the
+	// calibrated predictor ("~"-marked cells) vs found in the daemon's
+	// memo, already resolved by a job, an earlier sweep or this sweep.
 	Execs     int64 `json:"execs,omitempty"`
 	StoreHits int64 `json:"store_hits,omitempty"`
 	Predicted int64 `json:"predicted,omitempty"`
+	MemHits   int64 `json:"mem_hits,omitempty"`
 }
 
 // TableJSON is a report.Table in structured form.
@@ -56,14 +57,16 @@ func tableJSON(t *report.Table) *TableJSON {
 func (s *Server) handleSweepList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Sweeps []string `json:"sweeps"`
-	}{experiments.NewRunner(experiments.Options{Workers: 1}).SweepIDs()})
+	}{s.runner.SweepIDs()})
 }
 
 // handleSweep runs one whole figure/ablation and streams progress as
-// NDJSON. Each sweep gets its own runner — its progress sink belongs to
-// this response — sharing the daemon's disk store, so cells another
-// client (or a previous sweep) already simulated are served warm and the
-// stream shows store_hits instead of re-simulation.
+// NDJSON. Each sweep runs on a session of the daemon's shared runner
+// (experiments.Runner.Session): its context, progress sink, worker slots,
+// counters and predictor state belong to this response, while the memo,
+// disk store and simulator-state pool are the daemon's. Cells a job or an
+// earlier sweep already resolved are memo hits (mem_hits), cells only the
+// store holds are store hits, and nothing is re-simulated.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 
@@ -113,13 +116,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	opts := s.opts
-	opts.Store = s.store
-	opts.Context = ctx
-	opts.Verbose = true
-	opts.Progress = func(line string) { emit(SweepEvent{Type: "progress", Message: line}) }
-	rr := experiments.NewRunner(opts)
-
+	rr := s.runner.Session(ctx, func(line string) { emit(SweepEvent{Type: "progress", Message: line}) })
 	sweep, ok := rr.Sweep(id)
 	if !ok {
 		writeProblem(w, http.StatusNotFound, "unknown sweep",
@@ -142,5 +139,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		emit(SweepEvent{Type: "error", Sweep: id, Problem: simProblem(err)})
 	}
-	emit(SweepEvent{Type: "done", Sweep: id, Execs: rr.Execs(), StoreHits: rr.StoreHits(), Predicted: rr.Predicted()})
+	cs := rr.CacheStats()
+	emit(SweepEvent{Type: "done", Sweep: id, Execs: cs.Execs, StoreHits: cs.StoreHits, Predicted: cs.Predicted, MemHits: cs.MemHits})
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"duplo/internal/conv"
 	"duplo/internal/lowering"
@@ -82,17 +83,19 @@ type Kernel struct {
 	Layout lowering.Layout
 
 	// progs caches the canonical warp programs shared read-only across
-	// every placeCTA call (see program); nil for hand-built Kernel
-	// literals, which fall back to building programs on demand.
-	progs *progCache
+	// every placeCTA call (see program). It is built on the first
+	// program call, under progsOnce, so a kernel that is only looked up
+	// — a memo or store hit — never pays for building it.
+	progsOnce sync.Once
+	progs     *progCache
 }
 
 // progCache holds one immutable canonical program per warp shape
 // (rt row tiles x ct column tiles); index [0][*] and [*][0] stay nil.
 type progCache [warpTileM + 1][warpTileN + 1]*warpProgram
 
-// initProgCache eagerly builds the canonical program for every possible
-// warp shape. Kernels are immutable during simulation, so the cache can be
+// initProgCache builds the canonical program for every possible warp
+// shape. Kernels are immutable during simulation, so the cache can be
 // shared read-only across CTAs, SMs and concurrent Runs.
 func (k *Kernel) initProgCache() {
 	var c progCache
@@ -107,12 +110,14 @@ func (k *Kernel) initProgCache() {
 // program returns the canonical warp program for an rt x ct warp shape —
 // tile origins relative to the warp's first row/column, relocated at decode
 // time by the warpCtx offsets (sm.go). Shapes with no tiles yield an empty
-// program.
+// program. Safe for concurrent use: sharded runs call it from several
+// goroutines, and the first call builds the cache for all of them.
 func (k *Kernel) program(rt, ct int) *warpProgram {
-	if k.progs != nil && rt >= 1 && rt <= warpTileM && ct >= 1 && ct <= warpTileN {
-		return k.progs[rt][ct]
+	if rt < 1 || rt > warpTileM || ct < 1 || ct > warpTileN {
+		return newWarpProgram(k, canonicalWork(rt, ct))
 	}
-	return newWarpProgram(k, canonicalWork(rt, ct))
+	k.progsOnce.Do(k.initProgCache)
+	return k.progs[rt][ct]
 }
 
 // canonicalWork builds the relative-origin work of an rt x ct warp shape:
@@ -136,7 +141,7 @@ func NewConvKernel(name string, p conv.Params) (*Kernel, error) {
 		return nil, err
 	}
 	layout := lowering.NewLayout(p, aBase, 2)
-	k := &Kernel{
+	return &Kernel{
 		Name:      name,
 		M:         p.GemmM(),
 		N:         p.GemmN(),
@@ -152,9 +157,7 @@ func NewConvKernel(name string, p conv.Params) (*Kernel, error) {
 		Variant:   SharedCOnly,
 		Conv:      &p,
 		Layout:    layout,
-	}
-	k.initProgCache()
-	return k, nil
+	}, nil
 }
 
 // NewGemmKernel builds a plain GEMM launch with no duplication structure
@@ -164,7 +167,7 @@ func NewGemmKernel(name string, m, n, kdim int) (*Kernel, error) {
 	if m <= 0 || n <= 0 || kdim <= 0 {
 		return nil, fmt.Errorf("sim: invalid GEMM dims %dx%dx%d", m, n, kdim)
 	}
-	k := &Kernel{
+	return &Kernel{
 		Name:      name,
 		M:         m,
 		N:         n,
@@ -178,9 +181,7 @@ func NewGemmKernel(name string, m, n, kdim int) (*Kernel, error) {
 		BBase:     bBase,
 		DBase:     dBase,
 		Variant:   SharedCOnly,
-	}
-	k.initProgCache()
-	return k, nil
+	}, nil
 }
 
 // CTA tiling of the baseline kernel (cudaTensorCoreGemm decomposition): a
