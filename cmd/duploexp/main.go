@@ -90,7 +90,6 @@ var (
 	ctas       = flag.Int("ctas", 96, "max CTAs simulated per kernel")
 	simSMs     = flag.Int("sms", 4, "number of SMs simulated")
 	workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-	smWorkers  = flag.Int("sm-workers", 0, "goroutines sharding the SMs inside each simulation (0 = serial reference loop here; results identical at any value)")
 	full       = flag.Bool("full", false, "simulate full grids (removes the CTA cap; slow)")
 	verbose    = flag.Bool("v", false, "print progress")
 	csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -105,7 +104,6 @@ var (
 	maxCycles  = flag.Int64("max-cycles", 0, "abort any single simulation past this many cycles (0 = simulator default)")
 	crashDir   = flag.String("crash-dir", "", "directory for watchdog/panic crash dumps (default: system temp dir)")
 	storeDir   = flag.String("store", "", "directory of the on-disk result store (warm-starts identical runs; created if missing)")
-	noPool     = flag.Bool("no-pool", false, "disable per-worker simulator-state reuse across cells (results identical either way; for benchmarking the pool)")
 	predict    = flag.String("predict", "off", "calibrated analytical fast path: off | predict-all | hybrid (predicted cells are marked '~'; see DESIGN.md §9)")
 	predBound  = flag.Float64("predict-bound", 0.15, "hybrid mode's uncertainty bound: predict only when the family's calibrated MAPE is below this (0 = never predict)")
 	calibPath  = flag.String("calibration", "", "calibration artifact path (default: <store>/calibration/<key>.json when -store is set, else in-memory only)")
@@ -154,8 +152,8 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	opts := experiments.Options{MaxCTAs: *ctas, SimSMs: *simSMs, Workers: *workers, SMWorkers: *smWorkers, Verbose: *verbose,
-		Context: ctx, MaxCycles: *maxCycles, CrashDumpDir: *crashDir, DisableStatePool: *noPool,
+	opts := experiments.Options{MaxCTAs: *ctas, SimSMs: *simSMs, Workers: *workers, Verbose: *verbose,
+		Context: ctx, MaxCycles: *maxCycles, CrashDumpDir: *crashDir,
 		Predictor: mode, PredictBound: *predBound, CalibrationPath: *calibPath, Seed: *seed}
 	if *full {
 		opts.MaxCTAs = 0

@@ -73,7 +73,6 @@ var (
 	ctas        = flag.Int("ctas", 96, "max CTAs simulated per kernel")
 	simSMs      = flag.Int("sms", 4, "number of SMs simulated")
 	workers     = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	smWorkers   = flag.Int("sm-workers", 0, "goroutines sharding the SMs inside each simulation (0 = serial reference loop)")
 	maxCycles   = flag.Int64("max-cycles", 0, "default per-job simulated-cycle budget (0 = simulator default)")
 	wallTimeout = flag.Duration("wall-timeout", 0, "default per-job wall-clock budget (0 = none)")
 	crashDir    = flag.String("crash-dir", "", "directory for watchdog/panic crash dumps (default: system temp dir)")
@@ -128,7 +127,7 @@ func run(ctx context.Context) error {
 		return err
 	}
 	opts := experiments.Options{
-		MaxCTAs: *ctas, SimSMs: *simSMs, Workers: *workers, SMWorkers: *smWorkers,
+		MaxCTAs: *ctas, SimSMs: *simSMs, Workers: *workers,
 		MaxCycles: *maxCycles, WallTimeout: *wallTimeout, CrashDumpDir: *crashDir,
 		Predictor: mode, PredictBound: *predBound, CalibrationPath: *calibPath,
 		Seed:    *seed,

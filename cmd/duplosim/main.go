@@ -59,7 +59,6 @@ var (
 	simSMs     = flag.Int("sms", 4, "SMs simulated")
 	batch      = flag.Int("batch", 0, "override batch size (default Table I's 8)")
 	workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-	smWorkers  = flag.Int("sm-workers", 0, "goroutines sharding the SMs inside each simulation (0 = GOMAXPROCS, 1 = serial reference loop; results identical)")
 	dense      = flag.Bool("dense", false, "force the dense (non-cycle-skipping) clock")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -71,7 +70,6 @@ var (
 	maxCycles  = flag.Int64("max-cycles", 0, "abort either simulation past this many cycles (0 = simulator default)")
 	crashDir   = flag.String("crash-dir", "", "directory for watchdog/panic crash dumps (default: system temp dir)")
 	storeDir   = flag.String("store", "", "directory of the on-disk result store (warm-starts identical runs; created if missing)")
-	noPool     = flag.Bool("no-pool", false, "disable simulator-state reuse between the baseline and Duplo runs (results identical either way)")
 	predict    = flag.String("predict", "off", "calibrated analytical fast path: off | predict-all | hybrid (predicted stats are labeled; see DESIGN.md §9)")
 	predBound  = flag.Float64("predict-bound", 0.15, "hybrid mode's uncertainty bound (0 = never predict)")
 	calibPath  = flag.String("calibration", "", "calibration artifact path (default: <store>/calibration/<key>.json when -store is set, else in-memory only)")
@@ -108,14 +106,19 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	cfg := sim.TitanVConfig()
-	cfg.MaxCTAs = *ctas
-	cfg.SimSMs = *simSMs
+	mode, err := experiments.ParsePredictorMode(*predict)
+	if err != nil {
+		return err
+	}
+	ropts := experiments.Options{MaxCTAs: *ctas, SimSMs: *simSMs, Workers: *workers, Context: ctx,
+		MaxCycles: *maxCycles, WallTimeout: *timeout, CrashDumpDir: *crashDir,
+		Predictor: mode, PredictBound: *predBound, CalibrationPath: *calibPath}
+	// The runs use the runner's own config, so their keys match the cells
+	// duploexp and duploserved write to a shared -store, and predicted runs
+	// fall inside the calibrated envelope (dense-clock and traced runs fall
+	// outside it and simulate as usual).
+	cfg := ropts.Config()
 	cfg.DenseClock = *dense
-	cfg.SMWorkers = *smWorkers
-	cfg.MaxCycles = *maxCycles
-	cfg.WallTimeout = *timeout
-	cfg.CrashDumpDir = *crashDir
 
 	fmt.Printf("%s: %v\n", l.FullName(), l.GemmParams())
 	fmt.Printf("GEMM %dx%dx%d (padded %dx%dx%d), %d CTAs total, simulating %d on %d SMs\n\n",
@@ -143,30 +146,6 @@ func run(ctx context.Context) error {
 	// baseline and Duplo simulations execute concurrently, and -store
 	// warm-starts them from the on-disk result store (a traced run always
 	// executes — the collector must observe a real execution).
-	mode, err := experiments.ParsePredictorMode(*predict)
-	if err != nil {
-		return err
-	}
-	ropts := experiments.Options{MaxCTAs: *ctas, SimSMs: *simSMs, Workers: *workers, SMWorkers: *smWorkers, Context: ctx,
-		MaxCycles: *maxCycles, WallTimeout: *timeout, CrashDumpDir: *crashDir, DisableStatePool: *noPool,
-		Predictor: mode, PredictBound: *predBound, CalibrationPath: *calibPath}
-	if mode != experiments.PredictorOff {
-		// Prediction engages only inside the runner's calibrated envelope, so
-		// the run config must be the resolved options config (notably
-		// SMWorkers 0 resolves to the serial per-run loop — results are
-		// byte-identical either way). Dense-clock or traced runs fall
-		// outside the envelope and simulate as usual.
-		cfg = ropts.Config()
-		cfg.DenseClock = *dense
-		dcfg = cfg
-		dcfg.Duplo = true
-		dcfg.DetectCfg.LHB = duplo.LHBConfig{Entries: *lhb, Ways: *ways, Oracle: *oracle}
-		if *traceRun == "base" && col != nil {
-			cfg.Tracer = col
-		} else if col != nil {
-			dcfg.Tracer = col
-		}
-	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {

@@ -33,13 +33,6 @@ type Options struct {
 	// Workers bounds concurrently executing simulations (0 = GOMAXPROCS;
 	// 1 = the serial path).
 	Workers int
-	// SMWorkers shards the SMs of each individual simulation across
-	// goroutines (sim.Config.SMWorkers). The engine already parallelizes
-	// across simulations, so 0 keeps each one on the serial reference loop
-	// rather than inheriting GOMAXPROCS; set >1 to shard within runs too
-	// (total goroutine demand is then roughly Workers*SMWorkers). Results
-	// are byte-identical at any value.
-	SMWorkers int
 	// Verbose prints progress lines through Progress (stdout when nil).
 	Verbose  bool
 	Progress func(string)
@@ -84,13 +77,6 @@ type Options struct {
 	// persisted and loaded ("" = <store dir>/calibration/<keyhash>.json
 	// when a store is attached, else in-memory only).
 	CalibrationPath string
-
-	// DisableStatePool turns off per-worker simulator-state reuse: every
-	// simulation then builds its memory system, SM states and detection
-	// units from scratch (the pre-pool behavior). Results are byte-identical
-	// either way — the pooled-vs-fresh differential tests assert it — so
-	// this exists for benchmarking the pool's effect and as an escape hatch.
-	DisableStatePool bool
 
 	// Seed seeds the serving cluster experiment's arrival-process RNG
 	// (internal/serving). 0 means the default seed (1); every non-zero
@@ -145,12 +131,6 @@ func (o Options) config() sim.Config {
 	}
 	if o.SimSMs > 0 {
 		cfg.SimSMs = o.SimSMs
-	}
-	// Default each run to the serial loop: the engine's own Workers pool is
-	// the parallelism knob at experiment granularity (see SMWorkers doc).
-	cfg.SMWorkers = 1
-	if o.SMWorkers > 0 {
-		cfg.SMWorkers = o.SMWorkers
 	}
 	cfg.MaxCycles = o.MaxCycles
 	cfg.WallTimeout = o.WallTimeout

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"duplo/internal/report"
@@ -11,26 +12,29 @@ import (
 // pooled Runner and then the Fig. 12 associativity grid through the same
 // Runner — so every worker's arena is reused across many heterogeneous
 // configurations (baseline, four LHB sizes, the oracle, multi-way LHBs) —
-// and requires the output byte-identical to a DisableStatePool Runner that
-// builds fresh simulator state for every run. Per-cell results are compared
-// exactly (sim.Result is comparable and embeds every Stats counter), so any
-// state leaking from one pooled run into the next fails loudly. Runs under
-// -race in CI at Workers 1 and 4.
+// and requires the output byte-identical to a Runner whose simFn is
+// sim.RunContext, which ignores the arena and builds fresh simulator state
+// for every run. Per-cell results are compared exactly (sim.Result is
+// comparable and embeds every Stats counter), so any state leaking from one
+// pooled run into the next fails loudly. Runs under -race in CI at Workers
+// 1 and 4.
 func TestPooledRunnerReuseHammer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
 	layers := detLayers(t)
-	mk := func(disablePool bool, workers int) *Runner {
+	mk := func(workers int) *Runner {
 		opts := QuickOptions()
 		opts.Layers = layers
 		opts.Workers = workers
-		opts.DisableStatePool = disablePool
 		return NewRunner(opts)
 	}
 	for _, workers := range []int{1, 4} {
-		pooled := mk(false, workers)
-		fresh := mk(true, workers)
+		pooled := mk(workers)
+		fresh := mk(workers)
+		fresh.simFn = func(ctx context.Context, cfg sim.Config, k *sim.Kernel, _ *sim.Arena) (sim.Result, error) {
+			return sim.RunContext(ctx, cfg, k)
+		}
 
 		run := func(name string, f func(*Runner) (*report.Table, error)) (string, string) {
 			t.Helper()

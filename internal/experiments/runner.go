@@ -60,9 +60,9 @@ type Runner struct {
 
 // shared is the part of a Runner its sessions share (see Session).
 type shared struct {
-	// simFn executes one simulation (sim.RunPooledContext; the arena is nil
-	// when state pooling is disabled). It is a seam the robustness tests
-	// override to inject deterministic per-cell failures.
+	// simFn executes one simulation (sim.RunPooledContext). It is a seam
+	// the robustness tests override to inject deterministic per-cell
+	// failures, and the pool tests to run on fresh state.
 	simFn func(context.Context, sim.Config, *sim.Kernel, *sim.Arena) (sim.Result, error)
 
 	// arenas pools per-run simulator state across the sweep's cells
@@ -70,7 +70,7 @@ type shared struct {
 	// and returns it, so there are at most as many arenas as simulations
 	// executing at once (Workers per runner or session), each reused by
 	// whichever cell executes next. Arenas self-invalidate on failed runs,
-	// making the recycle unconditional. nil when Options.DisableStatePool.
+	// making the recycle unconditional.
 	arenas *sync.Pool
 
 	// store is the optional on-disk second cache tier (Options.Store): a
@@ -128,12 +128,10 @@ func evict(mu *sync.Mutex, m map[string]*cacheEntry, key string, e *cacheEntry) 
 // runtime.GOMAXPROCS(0)).
 func NewRunner(opts Options) *Runner {
 	sh := &shared{
-		simFn: sim.RunPooledContext,
-		store: opts.Store,
-		cache: make(map[string]*cacheEntry),
-	}
-	if !opts.DisableStatePool {
-		sh.arenas = &sync.Pool{New: func() interface{} { return sim.NewArena() }}
+		simFn:  sim.RunPooledContext,
+		arenas: &sync.Pool{New: func() interface{} { return sim.NewArena() }},
+		store:  opts.Store,
+		cache:  make(map[string]*cacheEntry),
 	}
 	if opts.Faults != nil {
 		sh.simFn = faultWrap(opts.Faults, sh.simFn)
@@ -269,16 +267,16 @@ func (r *Runner) progress(format string, args ...interface{}) {
 	}
 }
 
-// key builds a cache key for a kernel/config combination. DenseClock and
-// SMWorkers are included for hygiene even though the clocks and the SM-worker
-// counts are byte-identical by contract (clock_test.go, parallel_sm_test.go),
-// so a deliberate cross-mode comparison is never served from the cache.
+// key builds a cache key for a kernel/config combination. DenseClock is
+// included for hygiene even though the clocks are byte-identical by
+// contract (clock_test.go), so a deliberate cross-mode comparison is never
+// served from the cache.
 func (r *Runner) key(kernelName string, cfg sim.Config) string {
 	d := cfg.DetectCfg
-	return fmt.Sprintf("%s|d=%v|e=%d,w=%d,o=%v,ne=%v,mi=%v|lat=%d|cta=%d|sm=%d|b=%d|rl=%d|l1=%d|l2=%d|dc=%v|smw=%d|mc=%d|wt=%v",
+	return fmt.Sprintf("%s|d=%v|e=%d,w=%d,o=%v,ne=%v,mi=%v|lat=%d|cta=%d|sm=%d|b=%d|rl=%d|l1=%d|l2=%d|dc=%v|mc=%d|wt=%v",
 		kernelName, cfg.Duplo, d.LHB.Entries, d.LHB.Ways, d.LHB.Oracle, d.LHB.NeverEvict, d.LHB.ModuloIndex,
 		d.LatencyCycles, cfg.MaxCTAs, cfg.SimSMs, 0, cfg.RetireDelay, cfg.L1KB, cfg.L2KB, cfg.DenseClock,
-		cfg.SMWorkers, cfg.MaxCycles, cfg.WallTimeout)
+		cfg.MaxCycles, cfg.WallTimeout)
 }
 
 // Run obtains kernel k's result under cfg, memoized and singleflighted:
@@ -367,16 +365,11 @@ func (r *Runner) RunShared(ctx context.Context, k *sim.Kernel, cfg sim.Config) (
 
 	r.sem <- struct{}{}
 	r.execs.Add(1)
-	var ar *sim.Arena
-	if r.arenas != nil {
-		ar = r.arenas.Get().(*sim.Arena)
-	}
+	ar := r.arenas.Get().(*sim.Arena)
 	e.res, e.err = r.simFn(ctx, cfg, k, ar)
-	if ar != nil {
-		// Unconditional recycle: a failed run leaves the arena marked
-		// dirty, and the next run through it rebuilds instead of reusing.
-		r.arenas.Put(ar)
-	}
+	// Unconditional recycle: a failed run leaves the arena marked dirty,
+	// and the next run through it rebuilds instead of reusing.
+	r.arenas.Put(ar)
 	<-r.sem
 	if e.err != nil {
 		// Evict before closing done: once waiters wake, the failed key

@@ -3,11 +3,11 @@ package sim
 import duplo "duplo/internal/core"
 
 // Arena is a reusable bundle of per-run simulator state: the memory system,
-// the per-SM states (L1 arrays, MSHR maps, warp contexts, staging buffers)
-// and the per-SM Duplo detection units. A sweep's Nth cell hands the arena
-// its (N-1)th cell's buffers back through RunPooledContext instead of
-// rebuilding everything — newMemSystem plus SimSMs×newSM plus
-// NewDetectionUnit is the dominant allocation of a short run.
+// the per-SM states (L1 arrays, MSHR maps, warp contexts) and the per-SM
+// Duplo detection units. A sweep's Nth cell hands the arena its (N-1)th
+// cell's buffers back through RunPooledContext instead of rebuilding
+// everything — newMemSystem plus SimSMs×newSM plus NewDetectionUnit is the
+// dominant allocation of a short run.
 //
 // Reuse is component-wise: each cached component carries a fits() check
 // against the next run's geometry (cache shapes, warp counts, scheduler
@@ -24,7 +24,7 @@ import duplo "duplo/internal/core"
 // scratch. Every reset() restores its component to a state
 // behavior-indistinguishable from freshly constructed; the pooled-vs-fresh
 // differential matrix (pool_test.go) asserts byte-identical Results across
-// clock modes, SM sharding, and Duplo modes.
+// clock modes, LHB geometries, and Duplo modes.
 //
 // An Arena is not safe for concurrent use: at most one Run may hold it at
 // a time. The experiments Runner keeps one per worker via sync.Pool.
@@ -96,9 +96,8 @@ func (sm *smState) fits(cfg Config) bool {
 // reset restores the SM to its newSM state for a new run, keeping every
 // backing array: warp slots are deactivated (placeCTA overwrites a slot
 // wholesale when it claims one, recycling the regReady/rob arrays exactly
-// as it does across CTA waves within a run), the staging buffers are kept
-// but detached (serial runs must see a nil stage), and the detection unit
-// is detached (the run re-attaches one from the arena when Duplo is on).
+// as it does across CTA waves within a run), and the detection unit is
+// detached (the run re-attaches one from the arena when Duplo is on).
 func (sm *smState) reset(cfg Config, mem *memSystem, gpu *gpuState) {
 	sm.cfg = cfg
 	sm.mem = mem
@@ -129,25 +128,6 @@ func (sm *smState) reset(cfg Config, mem *memSystem, gpu *gpuState) {
 	sm.lhbRelease = sm.lhbRelease[:0]
 	clear(sm.ctaWarpsLeft)
 	sm.resident = 0
-	sm.stage = nil
-	if sm.stageCache != nil {
-		sm.stageCache.reset()
-	}
-	sm.buffering = false
 	sm.stats = Stats{}
 	sm.lineBuf = sm.lineBuf[:0]
-}
-
-// reset empties the staging buffers, keeping their backing arrays. After a
-// clean run they are already empty (commitStaged truncates them); this
-// guards the pooled path against any future early-exit that leaves staged
-// state behind.
-func (st *smStage) reset() {
-	st.ops = st.ops[:0]
-	st.lines = st.lines[:0]
-	st.deps = st.deps[:0]
-	st.ids = st.ids[:0]
-	st.pend = st.pend[:0]
-	st.events = st.events[:0]
-	st.resolved = st.resolved[:0]
 }

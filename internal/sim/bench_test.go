@@ -129,15 +129,17 @@ func BenchmarkRunDense(b *testing.B)            { benchClock(b, true, false) }
 func BenchmarkRunEventDriven(b *testing.B)      { benchClock(b, false, false) }
 func BenchmarkRunEventDrivenDuplo(b *testing.B) { benchClock(b, false, true) }
 
-func benchSMWorkers(b *testing.B, workers int) {
-	k, err := NewConvKernel("shard-bench", benchMemBoundLayer)
+// BenchmarkRunSerialSMs measures one Run over a 4-SM slice of the
+// memory-bound layer (16 CTAs): the cycle loop's per-SM cost at a wider
+// slice than benchClock's.
+func BenchmarkRunSerialSMs(b *testing.B) {
+	k, err := NewConvKernel("sm-bench", benchMemBoundLayer)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := memBoundConfig()
-	cfg.SimSMs = 4 // a >= 4-SM slice so the shards have real work each
+	cfg.SimSMs = 4
 	cfg.MaxCTAs = 16
-	cfg.SMWorkers = workers
 	b.ResetTimer()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
@@ -149,13 +151,6 @@ func benchSMWorkers(b *testing.B, workers int) {
 	}
 	b.ReportMetric(float64(cycles), "cycles")
 }
-
-// BenchmarkRunSerialSMs vs BenchmarkRunParallelSMs measure the SM-sharding
-// payoff on a 4-SM memory-bound layer (ratio recorded in EXPERIMENTS.md).
-// The parallel bench pins SMWorkers to 4 — not GOMAXPROCS — so the sharded
-// loop is exercised (and CI-smoked) even on a 1-core host.
-func BenchmarkRunSerialSMs(b *testing.B)   { benchSMWorkers(b, 1) }
-func BenchmarkRunParallelSMs(b *testing.B) { benchSMWorkers(b, 4) }
 
 // BenchmarkPlaceCTA measures CTA placement cost — the path the memoized
 // warp-program cache removes per-wave program construction from.

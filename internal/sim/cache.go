@@ -107,11 +107,8 @@ func (c *cacheArray) Capacity() int { return c.sets * c.ways }
 // Ordering contract: every access mutates shared state (L2 LRU recency,
 // dramFree, and the dramFrac fractional accumulator — floating-point, so not
 // even reorderable), which makes results depend on the exact arrival order
-// of requests. All callers must therefore touch the memSystem from one
-// goroutine in the canonical serial order — ascending (cycle, smID, issue
-// index). The sharded loop honors this by staging phase-A requests per SM
-// and replaying them here during serial phase B (shard.go); never call into
-// the memSystem from phase A.
+// of requests. The cycle loop calls in ascending (cycle, smID, issue index)
+// order; that order is part of the result.
 type memSystem struct {
 	cfg Config
 	l2  *cacheArray

@@ -21,7 +21,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	duplo "duplo/internal/core"
@@ -89,14 +88,6 @@ type Config struct {
 	// test in clock_test.go is the gate); the flag exists as an escape
 	// hatch and as the baseline for the clocking benchmarks.
 	DenseClock bool
-
-	// SMWorkers shards the simulated SMs across goroutines inside one Run
-	// (the two-phase tick of DESIGN.md §3, "SM sharding"): 0 selects
-	// GOMAXPROCS, 1 forces the single-goroutine reference loop, and any
-	// value is clamped to SimSMs. Results are byte-identical at every
-	// worker count (the differential matrix in parallel_sm_test.go is the
-	// gate); the knob trades wall-clock for cores, never output.
-	SMWorkers int
 
 	// --- Hardening: run bounds and diagnostics ---
 
@@ -187,8 +178,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: DRAM bandwidth must be positive")
 	case c.LDSTQueueDepth <= 0:
 		return fmt.Errorf("sim: LDST queue depth must be positive")
-	case c.SMWorkers < 0:
-		return fmt.Errorf("sim: SMWorkers %d must be >= 0 (0 = GOMAXPROCS)", c.SMWorkers)
 	case c.MaxWarpsPerSM <= 0:
 		return fmt.Errorf("sim: MaxWarpsPerSM must be positive")
 	case c.RetireDelay < 0:
@@ -232,23 +221,6 @@ func (c Config) maxCycles() int64 {
 	return maxSimCycles
 }
 
-// smWorkers resolves Config.SMWorkers to the effective shard count for one
-// Run: 0 selects GOMAXPROCS, and the result is clamped to [1, SimSMs] (a
-// shard never holds less than one SM, so extra workers would idle).
-func (c Config) smWorkers() int {
-	w := c.SMWorkers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > c.SimSMs {
-		w = c.SimSMs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // DRAMBytesPerCycle returns the whole-GPU DRAM bandwidth in bytes/cycle.
 func (c Config) DRAMBytesPerCycle() float64 {
 	return c.DRAMBandwidth * 1e9 / (float64(c.ClockMHz) * 1e6)
@@ -260,10 +232,9 @@ func (c Config) SliceScale() float64 { return float64(c.SimSMs) / float64(c.NumS
 // WarpsPerScheduler returns MaxWarpsPerSM / Schedulers.
 func (c Config) WarpsPerScheduler() int { return c.MaxWarpsPerSM / c.Schedulers }
 
-// TraceMeta describes this configuration to a trace.Collector: shard
-// count, the skipped-span stall weight, and the slice-scaled DRAM
-// bandwidth the exporters normalize against. interval <= 0 selects
-// trace.DefaultInterval.
+// TraceMeta describes this configuration to a trace.Collector: SM count,
+// the skipped-span stall weight, and the slice-scaled DRAM bandwidth the
+// exporters normalize against. interval <= 0 selects trace.DefaultInterval.
 func (c Config) TraceMeta(interval int64) trace.Meta {
 	return trace.Meta{
 		SMs:               c.SimSMs,

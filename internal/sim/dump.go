@@ -70,9 +70,8 @@ func sanitizeDumpName(name string) string {
 	}, name)
 }
 
-// formatCrashDump renders the postmortem text. It runs with every shard
-// goroutine quiescent (the dispatcher aborts only after the phase-A
-// barrier), so reading SM state here is race-free.
+// formatCrashDump renders the postmortem text. It runs on the goroutine
+// that ran the cycle loop, after the loop stopped.
 func formatCrashDump(b *strings.Builder, g *gpuState, se *SimError) {
 	fmt.Fprintf(b, "duplo crash dump\n")
 	fmt.Fprintf(b, "phase:  %s\n", se.Phase)
@@ -80,10 +79,10 @@ func formatCrashDump(b *strings.Builder, g *gpuState, se *SimError) {
 	fmt.Fprintf(b, "reason: %s\n", se.Reason)
 	fmt.Fprintf(b, "kernel: %s (variant %s, %d CTAs total, %d simulated)\n",
 		g.kernel.Name, g.kernel.Variant, g.kernel.TotalCTAs(), g.totalCTAs)
-	fmt.Fprintf(b, "config: sms=%d ctas=%d duplo=%v lhb={e=%d w=%d oracle=%v} dense=%v smWorkers=%d retireDelay=%d ldstDepth=%d\n",
+	fmt.Fprintf(b, "config: sms=%d ctas=%d duplo=%v lhb={e=%d w=%d oracle=%v} dense=%v retireDelay=%d ldstDepth=%d\n",
 		g.cfg.SimSMs, g.cfg.MaxCTAs, g.cfg.Duplo,
 		g.cfg.DetectCfg.LHB.Entries, g.cfg.DetectCfg.LHB.Ways, g.cfg.DetectCfg.LHB.Oracle,
-		g.cfg.DenseClock, g.cfg.SMWorkers, g.cfg.RetireDelay, g.cfg.LDSTQueueDepth)
+		g.cfg.DenseClock, g.cfg.RetireDelay, g.cfg.LDSTQueueDepth)
 	fmt.Fprintf(b, "chip:   nextCTA=%d/%d progress=%d lastProgressAt=%d watchdogWindow=%d\n",
 		g.nextCTA, g.totalCTAs, g.progress, g.guard.lastProgressAt, g.guard.window)
 

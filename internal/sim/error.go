@@ -15,8 +15,8 @@ const (
 	// PhaseWatchdog: the forward-progress watchdog fired — no instruction
 	// issued and no ROB entry retired for a whole WatchdogWindow.
 	PhaseWatchdog = "watchdog"
-	// PhasePanic: a panic inside the cycle loop (serial, or any SM-shard
-	// goroutine) was contained and converted to an error.
+	// PhasePanic: a panic inside the cycle loop was contained and
+	// converted to an error.
 	PhasePanic = "panic"
 	// PhaseProgram: program decode walked out of a warp program's bounds —
 	// an internal consistency failure surfaced as a structured error.

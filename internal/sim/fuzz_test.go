@@ -31,7 +31,6 @@ func FuzzConfigValidate(f *testing.F) {
 		if err := c.Validate(); err != nil {
 			return // rejected configurations are outside the contract
 		}
-		_ = c.smWorkers()
 		_ = c.WarpsPerScheduler()
 		_ = c.DRAMBytesPerCycle()
 		_ = c.SliceScale()

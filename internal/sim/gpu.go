@@ -53,10 +53,8 @@ type gpuState struct {
 	// guard is the hardening state of this run: cancellation, cycle/wall
 	// bounds, and the forward-progress watchdog.
 	guard runGuard
-	// progress counts ROB pops (retire.go bumps it once per retired
-	// instruction). Retirement runs serially in both loop modes — the
-	// serial tick and the sharded pre-phase both execute on the dispatcher
-	// goroutine — so the counter needs no synchronization.
+	// progress counts ROB pops (retireWarp bumps it once per retired
+	// instruction).
 	progress int64
 	// now mirrors the loop's current cycle so crash dumps written from a
 	// panic recovery know where the clock stood.
@@ -214,12 +212,6 @@ const maxSimCycles = int64(4) << 30
 // Tracer costs one pointer check per site; see internal/trace and
 // DESIGN.md §4.
 //
-// Parallelism: with cfg.SMWorkers resolved above 1, the cycle loop shards
-// the SMs across goroutines using the two-phase tick of shard.go; the
-// Result — and any attached trace, event for event — stays byte-identical
-// to the single-goroutine reference loop (asserted by the differential
-// matrix in parallel_sm_test.go; see DESIGN.md §3 "SM sharding").
-//
 // Hardening: Run is RunContext with a background context; both are
 // bounded (Config.MaxCycles, Config.WallTimeout), interruptible, watched
 // for forward progress (Config.WatchdogWindow), and contain panics from
@@ -250,10 +242,10 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (Result, error) {
 // the memory system, SM states and detection units of the previous run
 // through the same arena are reset and reused instead of rebuilt wherever
 // their geometry fits. The Result is byte-identical to RunContext — the
-// pool_test.go differential matrix asserts it across clock modes, SM
-// sharding and Duplo modes — and errors leave the arena dirty, so a failed
-// run's half-mutated state is never reused. The arena must not be shared
-// by concurrent runs.
+// pool_test.go differential matrix asserts it across clock modes, LHB
+// geometries and Duplo modes — and errors leave the arena dirty, so a
+// failed run's half-mutated state is never reused. The arena must not be
+// shared by concurrent runs.
 func RunPooledContext(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result, error) {
 	return runWithArena(ctx, cfg, k, ar)
 }
@@ -385,29 +377,14 @@ func runWithArena(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result
 	}, nil
 }
 
-// runLoops dispatches to the configured cycle loop behind one panic
-// barrier: any panic on the dispatcher goroutine — the serial loop, the
-// sharded pre-phase/commit, or shard 0 running inline — is contained into
-// a *SimError with a crash dump. Spawned shard goroutines recover locally
-// into their shardState (shard.go) and the dispatcher converts those the
-// same way.
+// runLoops is the cycle loop, behind one panic barrier: any panic in a
+// tick is contained into a *SimError with a crash dump.
 func (g *gpuState) runLoops() (now int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = g.containPanic(r, debug.Stack())
 		}
 	}()
-	if workers := g.cfg.smWorkers(); workers > 1 {
-		return g.runShardedLoop(workers)
-	}
-	return g.runSerialLoop()
-}
-
-// runSerialLoop is the single-goroutine reference cycle loop
-// (Config.SMWorkers <= 1 after resolution); runShardedLoop (shard.go) must
-// stay byte-identical to it.
-func (g *gpuState) runSerialLoop() (int64, error) {
-	var now int64
 	blocked := make([]int, len(g.sms)) // per-SM ldst-blocked schedulers this tick
 	for {
 		g.now = now

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,10 +15,10 @@ import (
 
 // This file validates the hardening layer (DESIGN.md §5 "Robustness"):
 // injected livelocks must trip the forward-progress watchdog within one
-// window on both clocks and both loop modes, cancellation/deadlines/cycle
-// bounds must abort with the right structured phase, and panics anywhere
-// in the cycle loop must come back as errors with readable crash dumps —
-// never as a hung or dead process.
+// window on both clocks, cancellation/deadlines/cycle bounds must abort
+// with the right structured phase, and panics anywhere in the cycle loop
+// must come back as errors with readable crash dumps — never as a hung or
+// dead process.
 
 // setInjection installs a testFaultInjection hook for the duration of the
 // test. The hook is a package global, so tests using it must not run in
@@ -58,10 +59,10 @@ func injectFullLDST(g *gpuState, smIdx ...int) {
 	}
 }
 
-// injectBadPC corrupts one active warp's program counter on the given SM so
-// the next decode hits warpProgram.At(-1) — the structured *SimError panic.
-func injectBadPC(g *gpuState, smIdx int) {
-	sm := g.sms[smIdx]
+// injectBadPC corrupts one active warp's program counter on SM 0 so the
+// next decode hits warpProgram.At(-1) — the structured *SimError panic.
+func injectBadPC(g *gpuState) {
+	sm := g.sms[0]
 	for s := range sm.warps {
 		w := &sm.warps[s]
 		if w.active {
@@ -72,10 +73,10 @@ func injectBadPC(g *gpuState, smIdx int) {
 	}
 }
 
-// injectNilProg nil-s one active warp's program on the given SM: the next
-// decode dereferences it — a raw runtime panic, not a *SimError.
-func injectNilProg(g *gpuState, smIdx int) {
-	sm := g.sms[smIdx]
+// injectNilProg nil-s one active warp's program on SM 0: the next decode
+// dereferences it — a raw runtime panic, not a *SimError.
+func injectNilProg(g *gpuState) {
+	sm := g.sms[0]
 	for s := range sm.warps {
 		w := &sm.warps[s]
 		if w.active {
@@ -126,8 +127,8 @@ func readDump(t *testing.T, se *SimError) string {
 
 // TestInjectedLivelockWatchdog is the acceptance matrix: an injected
 // livelock must fail within one watchdog window — with a *SimError and a
-// readable dump, never a hang — on both clocks and both loop modes, for
-// both livelock shapes (stuck scoreboards and an un-drainable LDST queue).
+// readable dump, never a hang — on both clocks, for both livelock shapes
+// (stuck scoreboards and an un-drainable LDST queue).
 func TestInjectedLivelockWatchdog(t *testing.T) {
 	k := hardenKernel(t)
 	const window = 2000
@@ -139,61 +140,69 @@ func TestInjectedLivelockWatchdog(t *testing.T) {
 		{"full-ldst", func(g *gpuState) { injectFullLDST(g, 0, 1) }},
 	}
 	for _, dense := range []bool{false, true} {
-		for _, workers := range []int{1, 2} {
-			for _, inj := range injections {
-				name := fmt.Sprintf("dense=%v/workers=%d/%s", dense, workers, inj.name)
-				t.Run(name, func(t *testing.T) {
-					cfg := testConfig()
-					cfg.DenseClock = dense
-					cfg.SMWorkers = workers
-					cfg.WatchdogWindow = window
-					cfg.CrashDumpDir = t.TempDir()
-					setInjection(t, inj.fn)
-					_, err := Run(cfg, k)
-					se := asSimError(t, err, PhaseWatchdog)
-					// Progress never happens, so the fire cycle is the window
-					// itself (plus at most one tick of slack).
-					if se.Cycle < window || se.Cycle > window+1 {
-						t.Errorf("watchdog fired at cycle %d, want ~%d", se.Cycle, window)
+		for _, inj := range injections {
+			name := fmt.Sprintf("dense=%v/%s", dense, inj.name)
+			t.Run(name, func(t *testing.T) {
+				cfg := testConfig()
+				cfg.DenseClock = dense
+				cfg.WatchdogWindow = window
+				cfg.CrashDumpDir = t.TempDir()
+				setInjection(t, inj.fn)
+				_, err := Run(cfg, k)
+				se := asSimError(t, err, PhaseWatchdog)
+				// Progress never happens, so the fire cycle is the window
+				// itself (plus at most one tick of slack).
+				if se.Cycle < window || se.Cycle > window+1 {
+					t.Errorf("watchdog fired at cycle %d, want ~%d", se.Cycle, window)
+				}
+				if !strings.Contains(se.Reason, "no forward progress") {
+					t.Errorf("reason %q lacks the livelock diagnosis", se.Reason)
+				}
+				dump := readDump(t, se)
+				for _, want := range []string{"duplo crash dump", "phase:  watchdog", "SM 0:", "SM 1:", "warp"} {
+					if !strings.Contains(dump, want) {
+						t.Errorf("dump lacks %q", want)
 					}
-					if !strings.Contains(se.Reason, "no forward progress") {
-						t.Errorf("reason %q lacks the livelock diagnosis", se.Reason)
-					}
-					dump := readDump(t, se)
-					for _, want := range []string{"duplo crash dump", "phase:  watchdog", "SM 0:", "SM 1:", "warp"} {
-						if !strings.Contains(dump, want) {
-							t.Errorf("dump lacks %q", want)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
 
-// TestRunContextCancel: cancelling the context aborts a livelocked run
-// (watchdog disabled to prove the cancel path alone ends it) and the error
-// unwraps to context.Canceled.
+// TestRunContextCancel: cancelling the context aborts livelocked runs
+// (watchdog disabled to prove the cancel path alone ends them) and each
+// error unwraps to context.Canceled. workers is the number of concurrent
+// RunContext calls on one kernel that share the cancelled context.
 func TestRunContextCancel(t *testing.T) {
 	k := hardenKernel(t)
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			cfg := testConfig()
-			cfg.SMWorkers = workers
-			cfg.WatchdogWindow = -1 // disabled: only the cancel can end this run
+			cfg.WatchdogWindow = -1 // disabled: only the cancel can end these runs
 			setInjection(t, injectStuckWarps)
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
 				time.Sleep(20 * time.Millisecond)
 				cancel()
 			}()
-			_, err := RunContext(ctx, cfg, k)
-			se := asSimError(t, err, PhaseCancelled)
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("err does not unwrap to context.Canceled: %v", err)
+			errs := make([]error, workers)
+			var wg sync.WaitGroup
+			for i := range errs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, errs[i] = RunContext(ctx, cfg, k)
+				}()
 			}
-			if se.Cycle == 0 {
-				t.Error("cancel observed at cycle 0: poll never ran")
+			wg.Wait()
+			for i, err := range errs {
+				se := asSimError(t, err, PhaseCancelled)
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("run %d: err does not unwrap to context.Canceled: %v", i, err)
+				}
+				if se.Cycle == 0 {
+					t.Errorf("run %d: cancel observed at cycle 0: poll never ran", i)
+				}
 			}
 		})
 	}
@@ -245,43 +254,33 @@ func TestMaxCycles(t *testing.T) {
 
 // TestPanicContainment: corruptions that panic inside the cycle loop —
 // both the structured *SimError decode panic and a raw nil dereference —
-// come back as errors with dumps on the serial loop and from a spawned
-// shard goroutine.
+// come back as errors with dumps.
 func TestPanicContainment(t *testing.T) {
 	k := hardenKernel(t)
 	cases := []struct {
 		name  string
-		fn    func(*gpuState, int)
+		fn    func(*gpuState)
 		phase string
 		want  string
 	}{
 		{"bad-pc", injectBadPC, PhaseProgram, "out of range"},
 		{"nil-prog", injectNilProg, PhasePanic, "panic:"},
 	}
-	for _, workers := range []int{1, 2} {
-		for _, tc := range cases {
-			t.Run(fmt.Sprintf("workers=%d/%s", workers, tc.name), func(t *testing.T) {
-				cfg := testConfig()
-				cfg.SMWorkers = workers
-				cfg.CrashDumpDir = t.TempDir()
-				// With 2 workers SM 1 runs on a spawned shard goroutine, so
-				// this exercises the worker-side recover path.
-				smIdx := 0
-				if workers > 1 {
-					smIdx = 1
-				}
-				setInjection(t, func(g *gpuState) { tc.fn(g, smIdx) })
-				_, err := Run(cfg, k)
-				se := asSimError(t, err, tc.phase)
-				if !strings.Contains(err.Error(), tc.want) {
-					t.Errorf("error %q lacks %q", err.Error(), tc.want)
-				}
-				dump := readDump(t, se)
-				if !strings.Contains(dump, "panic stack:") {
-					t.Error("dump lacks the panic stack section")
-				}
-			})
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.CrashDumpDir = t.TempDir()
+			setInjection(t, tc.fn)
+			_, err := Run(cfg, k)
+			se := asSimError(t, err, tc.phase)
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q lacks %q", err.Error(), tc.want)
+			}
+			dump := readDump(t, se)
+			if !strings.Contains(dump, "panic stack:") {
+				t.Error("dump lacks the panic stack section")
+			}
+		})
 	}
 }
 
@@ -324,39 +323,35 @@ func TestSimErrorUnwrap(t *testing.T) {
 }
 
 // TestHardenedRunByteIdentical: the full guard stack at healthy settings is
-// invisible — byte-identical Stats across clocks, worker counts, and Duplo
-// on/off.
+// invisible — byte-identical Stats across clocks and Duplo on/off.
 func TestHardenedRunByteIdentical(t *testing.T) {
 	k := hardenKernel(t)
 	for _, dense := range []bool{false, true} {
-		for _, workers := range []int{1, 2} {
-			for _, dup := range []bool{false, true} {
-				name := fmt.Sprintf("dense=%v/workers=%d/duplo=%v", dense, workers, dup)
-				t.Run(name, func(t *testing.T) {
-					cfg := testConfig()
-					cfg.DenseClock = dense
-					cfg.SMWorkers = workers
-					cfg.Duplo = dup
-					plain, err := Run(cfg, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ctx, cancel := context.WithCancel(context.Background())
-					defer cancel()
-					hcfg := cfg
-					hcfg.WatchdogWindow = DefaultWatchdogWindow
-					hcfg.MaxCycles = maxSimCycles
-					hcfg.WallTimeout = time.Hour
-					hcfg.CrashDumpDir = t.TempDir()
-					hard, err := RunContext(ctx, hcfg, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if plain.Stats != hard.Stats {
-						t.Errorf("hardened run diverged\nplain: %+v\nhard:  %+v", plain.Stats, hard.Stats)
-					}
-				})
-			}
+		for _, dup := range []bool{false, true} {
+			name := fmt.Sprintf("dense=%v/duplo=%v", dense, dup)
+			t.Run(name, func(t *testing.T) {
+				cfg := testConfig()
+				cfg.DenseClock = dense
+				cfg.Duplo = dup
+				plain, err := Run(cfg, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				hcfg := cfg
+				hcfg.WatchdogWindow = DefaultWatchdogWindow
+				hcfg.MaxCycles = maxSimCycles
+				hcfg.WallTimeout = time.Hour
+				hcfg.CrashDumpDir = t.TempDir()
+				hard, err := RunContext(ctx, hcfg, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plain.Stats != hard.Stats {
+					t.Errorf("hardened run diverged\nplain: %+v\nhard:  %+v", plain.Stats, hard.Stats)
+				}
+			})
 		}
 	}
 }

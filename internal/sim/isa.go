@@ -118,8 +118,8 @@ func (p *warpProgram) regAcc(a, b int) uint8 { return uint8(2*p.rt + 2*p.ct + a*
 
 // At decodes instruction i. An out-of-range index is an internal
 // consistency failure (a corrupted pc); it panics with a structured
-// *SimError that the run loop's containment (gpu.go/shard.go) converts
-// into an error with a crash dump instead of killing the process.
+// *SimError that the run loop's containment (gpu.go) converts into an
+// error with a crash dump instead of killing the process.
 func (p *warpProgram) At(i int) Instr {
 	if i < 0 || i >= p.total {
 		panic(&SimError{

@@ -110,8 +110,8 @@ func (k *Kernel) initProgCache() {
 // program returns the canonical warp program for an rt x ct warp shape —
 // tile origins relative to the warp's first row/column, relocated at decode
 // time by the warpCtx offsets (sm.go). Shapes with no tiles yield an empty
-// program. Safe for concurrent use: sharded runs call it from several
-// goroutines, and the first call builds the cache for all of them.
+// program. Safe for concurrent use: concurrent Runs share one *Kernel, and
+// the first call builds the cache for all of them.
 func (k *Kernel) program(rt, ct int) *warpProgram {
 	if rt < 1 || rt > warpTileM || ct < 1 || ct > warpTileN {
 		return newWarpProgram(k, canonicalWork(rt, ct))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync"
 	"testing"
 
 	"duplo/internal/conv"
@@ -167,6 +168,90 @@ func TestOpStrings(t *testing.T) {
 	for _, o := range []Op{OpLoadA, OpLoadB, OpMMA, OpStoreD} {
 		if o.String() == "?" {
 			t.Errorf("op %d unnamed", o)
+		}
+	}
+}
+
+// TestWarpProgramMemoized pins the memoization contract: placeCTA-visible
+// instruction streams from the canonical shared programs (relocated by the
+// warp offsets) must match a freshly built absolute-address program for
+// every warp of interior and edge CTAs alike. The cache is lazy: the
+// constructor leaves it unbuilt, the first program call builds it, and
+// later calls return the same programs.
+func TestWarpProgramMemoized(t *testing.T) {
+	k, err := NewConvKernel("memo", testLayer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.progs != nil {
+		t.Fatal("constructor built the program cache; it must wait for the first program call")
+	}
+	first := k.program(warpTileM, warpTileN)
+	if k.progs == nil || first != k.progs[warpTileM][warpTileN] {
+		t.Fatal("first program call did not build and serve the program cache")
+	}
+	if again := k.program(warpTileM, warpTileN); again != first {
+		t.Fatal("second program call returned a different program")
+	}
+	gm, gn := k.GridCTAs()
+	ctas := []int{0, gn - 1, (gm - 1) * gn, gm*gn - 1} // corners incl. edge tiles
+	for _, cta := range ctas {
+		for w := 0; w < warpsPerCTA; w++ {
+			ref := newWarpProgram(k, k.warpAssignments(cta)[w])
+			rt, ct, firstRow, firstCol := k.warpShape(cta, w)
+			got := k.program(rt, ct)
+			if got.Len() != ref.Len() {
+				t.Fatalf("CTA %d warp %d: length %d, want %d", cta, w, got.Len(), ref.Len())
+			}
+			if ref.Len() == 0 {
+				continue
+			}
+			if rt >= 1 && rt <= warpTileM && ct >= 1 && ct <= warpTileN && got != k.progs[rt][ct] {
+				t.Fatalf("CTA %d warp %d: program not served from the cache", cta, w)
+			}
+			aOff, bOff, dOff := k.warpOffsets(firstRow, firstCol)
+			for i := 0; i < ref.Len(); i++ {
+				in := got.At(i)
+				relocateInstr(&in, aOff, bOff, dOff)
+				if want := ref.At(i); in != want {
+					t.Fatalf("CTA %d warp %d instr %d: relocated %+v, want %+v", cta, w, i, in, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWarpProgramLazyConcurrentFirstUse makes the first program call on
+// one fresh kernel from 8 goroutines at once, as concurrent Runs sharing
+// one *Kernel do (duplosim's baseline and Duplo runs, the calibration
+// fan-out): under -race this audits the lazy build, and every goroutine
+// must be served the same program for every warp shape.
+func TestWarpProgramLazyConcurrentFirstUse(t *testing.T) {
+	k, err := NewConvKernel("lazy", testLayer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	var got [goroutines]progCache
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for rt := 1; rt <= warpTileM; rt++ {
+				for ct := 1; ct <= warpTileN; ct++ {
+					got[g][rt][ct] = k.program(rt, ct)
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := range got {
+		if got[g] != *k.progs {
+			t.Fatalf("goroutine %d was served programs other than the cache's", g)
 		}
 	}
 }

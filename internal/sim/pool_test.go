@@ -9,10 +9,10 @@ import (
 )
 
 // poolCells builds the heterogeneous cell sequence the pooled differential
-// tests push through one arena: alternating Duplo off / set-assoc / oracle,
-// clock modes, and SM-worker counts, so every reuse transition (detection
-// unit cached across a Duplo-off cell, sharded stage detached before a
-// serial cell, geometry changes forcing rebuilds) is exercised back to back.
+// tests push through one arena: alternating Duplo off / set-assoc / oracle
+// and clock modes, so every reuse transition (detection unit cached across
+// a Duplo-off cell, geometry changes forcing rebuilds) is exercised back to
+// back.
 func poolCells(t *testing.T) []struct {
 	name string
 	cfg  Config
@@ -50,15 +50,8 @@ func poolCells(t *testing.T) []struct {
 			k    *Kernel
 		}{name, cfg, k})
 	}
-	add("base/serial", k1, func(c *Config) {})
-	add("duplo/serial", k1, func(c *Config) {
-		c.Duplo = true
-		c.DetectCfg.LHB = duplo.DefaultLHBConfig()
-	})
-	add("base/sharded", k1, func(c *Config) { c.SMWorkers = 2 })
-	// Serial directly after sharded: the cached stage must be detached or
-	// issueLoad would take the staging path on the serial loop.
-	add("duplo/serial-after-sharded", k1, func(c *Config) {
+	add("base", k1, func(c *Config) {})
+	add("duplo", k1, func(c *Config) {
 		c.Duplo = true
 		c.DetectCfg.LHB = duplo.DefaultLHBConfig()
 	})
@@ -68,10 +61,9 @@ func poolCells(t *testing.T) []struct {
 		c.DenseClock = true
 	})
 	// Different LHB geometry: the cached unit must fail Fits and rebuild.
-	add("duplo256x2/sharded", k2, func(c *Config) {
+	add("duplo256x2", k2, func(c *Config) {
 		c.Duplo = true
 		c.DetectCfg.LHB = duplo.LHBConfig{Entries: 256, Ways: 2}
-		c.SMWorkers = 2
 	})
 	// Different SM count and L1: memSystem and smState rebuild paths.
 	add("duplo/wide", k2, func(c *Config) {
@@ -159,10 +151,9 @@ func TestPooledArenaDirtyAfterError(t *testing.T) {
 	}
 }
 
-// TestPooledMatrixQuickGrid is the pooled counterpart of the SM-sharding
-// differential matrix: fig9-quick-scale workloads, {duplo off, LHB 1024,
-// oracle} x {dense, event} x {serial, sharded}, all through one arena in
-// sequence, each compared against fresh state.
+// TestPooledMatrixQuickGrid is the pooled differential matrix at fig9
+// quick scale: {duplo off, LHB 1024, oracle} x {dense, event}, all through
+// one arena in sequence, each compared against fresh state.
 func TestPooledMatrixQuickGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -194,26 +185,23 @@ func TestPooledMatrixQuickGrid(t *testing.T) {
 		}
 		for _, m := range modes {
 			for _, dense := range []bool{false, true} {
-				for _, workers := range []int{1, 2} {
-					cfg := TitanVConfig()
-					cfg.MaxCTAs = 12
-					cfg.SimSMs = 2
-					cfg.DenseClock = dense
-					cfg.SMWorkers = workers
-					m.set(&cfg)
-					name := l.FullName() + "/" + m.name
-					fresh, err := Run(cfg, k)
-					if err != nil {
-						t.Fatalf("%s fresh: %v", name, err)
-					}
-					pooled, err := RunPooledContext(context.Background(), cfg, k, ar)
-					if err != nil {
-						t.Fatalf("%s pooled: %v", name, err)
-					}
-					if fresh.Stats != pooled.Stats {
-						t.Errorf("%s (dense=%v workers=%d): pooled diverged\nfresh:  %+v\npooled: %+v",
-							name, dense, workers, fresh.Stats, pooled.Stats)
-					}
+				cfg := TitanVConfig()
+				cfg.MaxCTAs = 12
+				cfg.SimSMs = 2
+				cfg.DenseClock = dense
+				m.set(&cfg)
+				name := l.FullName() + "/" + m.name
+				fresh, err := Run(cfg, k)
+				if err != nil {
+					t.Fatalf("%s fresh: %v", name, err)
+				}
+				pooled, err := RunPooledContext(context.Background(), cfg, k, ar)
+				if err != nil {
+					t.Fatalf("%s pooled: %v", name, err)
+				}
+				if fresh.Stats != pooled.Stats {
+					t.Errorf("%s (dense=%v): pooled diverged\nfresh:  %+v\npooled: %+v",
+						name, dense, fresh.Stats, pooled.Stats)
 				}
 			}
 		}

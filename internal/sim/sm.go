@@ -105,20 +105,6 @@ type smState struct {
 	ctaWarpsLeft map[int]int // resident CTA -> unfinished warps
 	resident     int
 
-	// stage is non-nil only in sharded mode (Config.SMWorkers > 1): memory
-	// operations scheduled during the parallel phase A are recorded here
-	// and replayed against the shared memory system in canonical order by
-	// commitStaged (phase B; see shard.go and DESIGN.md §3 "SM sharding").
-	stage *smStage
-	// stageCache retains the staging buffers across pooled runs: the
-	// sharded loop attaches it as stage, and the arena reset detaches
-	// stage again (issueLoad uses stage != nil to mean "sharded mode", so
-	// a pooled serial run must not see a stale pointer).
-	stageCache *smStage
-	// buffering redirects emit into stage.events during phase A so phase B
-	// can splice replayed service events into serial capture order.
-	buffering bool
-
 	stats   Stats
 	lineBuf []uint64
 }
@@ -221,32 +207,15 @@ func (sm *smState) placeCTA(k *Kernel, cta int, launchSeq int64) {
 	sm.resident++
 }
 
-// tick advances the SM by one cycle on the serial path. It returns how many
-// instructions issued and how many schedulers stalled on a full LDST queue
-// this cycle; the dispatcher uses both to decide whether the chip is dead at
-// `now` and, if so, to account the skipped span's stall counters
+// tick advances the SM by one cycle: LHB releases, retirement, LDST queue
+// drain, then one scheduling attempt per warp scheduler. It returns how
+// many instructions issued and how many schedulers stalled on a full LDST
+// queue this cycle; the dispatcher uses both to decide whether the chip is
+// dead at `now` and, if so, to account the skipped span's stall counters
 // arithmetically.
 func (sm *smState) tick(now int64) (issued, ldstBlocked int) {
 	sm.releaseLHB(now)
 	sm.retire(now)
-	return sm.schedule(now)
-}
-
-// tickStaged is the sharded-mode phase A of a tick: the retirement half
-// (releaseLHB + retire) already ran in the dispatcher's serial pre-phase,
-// and scheduling runs here with memory operations staged instead of applied
-// (sm.stage is non-nil). Trace events are buffered so commitStaged can
-// splice the replayed service events into serial capture order.
-func (sm *smState) tickStaged(now int64) (issued, ldstBlocked int) {
-	sm.buffering = sm.tr != nil
-	issued, ldstBlocked = sm.schedule(now)
-	sm.buffering = false
-	return issued, ldstBlocked
-}
-
-// schedule runs the issue half of a tick: LDST queue drain, then one
-// scheduling attempt per warp scheduler.
-func (sm *smState) schedule(now int64) (issued, ldstBlocked int) {
 	sm.drainLDST(now)
 	for sid := 0; sid < sm.cfg.Schedulers; sid++ {
 		ok, blocked := sm.scheduleOne(sid, now)
@@ -259,25 +228,13 @@ func (sm *smState) schedule(now int64) (issued, ldstBlocked int) {
 	if sm.tr != nil && issued < sm.cfg.Schedulers {
 		// Every non-issuing scheduler counted one IssueStallCycle this
 		// tick (scheduleOne); fold them into a single stall event.
-		sm.emit(trace.Event{
+		sm.tr.Emit(sm.id, trace.Event{
 			Cycle: now, Kind: trace.KindStall,
 			A: int64(sm.cfg.Schedulers - issued), B: int64(ldstBlocked),
 			Sched: -1, Warp: -1,
 		})
 	}
 	return issued, ldstBlocked
-}
-
-// emit routes a pipeline event to the tracer. During a sharded phase A
-// (buffering set) events are captured into the staging buffer instead, and
-// commitStaged forwards them in serial capture order. Callers guard with
-// sm.tr != nil.
-func (sm *smState) emit(e trace.Event) {
-	if sm.buffering {
-		sm.stage.events = append(sm.stage.events, e)
-		return
-	}
-	sm.tr.Emit(sm.id, e)
 }
 
 // retire pops completed instructions in program order per warp. Retired
@@ -313,9 +270,7 @@ func (sm *smState) retireWarp(w *warpCtx, s int, now, delay int64) {
 		w.robHead++
 		// Forward-progress heartbeat for the watchdog: a ROB pop covers
 		// both instruction retirement and memory-request completion (a
-		// completed request pops when it reaches the head). Retirement
-		// runs serially in both loop modes, so the bare counter is
-		// race-free.
+		// completed request pops when it reaches the head).
 		sm.gpu.progress++
 	}
 	if w.robHead > 0 && w.robEmpty() {
@@ -344,7 +299,7 @@ func (sm *smState) releaseLHB(now int64) {
 			sm.du.Retire(q)
 		}
 		if sm.tr != nil {
-			sm.emit(trace.Event{
+			sm.tr.Emit(sm.id, trace.Event{
 				Cycle: now, Kind: trace.KindLHBRelease,
 				A: int64(e.seqHi - e.seqLo), Sched: -1, Warp: -1,
 			})
@@ -493,7 +448,7 @@ func (sm *smState) tryIssue(sid int, w *warpCtx, now int64) (issued, ldstBlocked
 		if in.Op == OpLoadA || in.Op == OpLoadB {
 			ev.A = tileRows // row-vector loads this macro-op expands into
 		}
-		sm.emit(ev)
+		sm.tr.Emit(sm.id, ev)
 	}
 	switch in.Op {
 	case OpLoadA, OpLoadB:
@@ -514,11 +469,6 @@ func (sm *smState) tryIssue(sid int, w *warpCtx, now int64) (issued, ldstBlocked
 // expands into 16 row-vector loads (one 16-element row of the tile each);
 // each row load consults the Duplo detection unit individually (row IDs are
 // what the LHB tracks), and only the rows that miss generate line requests.
-//
-// In sharded mode (sm.stage non-nil) the detection-unit walk still runs
-// here — it is SM-local — but any load that needs the shared memory system,
-// or whose completion depends on a load staged earlier this tick, is
-// recorded via stageLoad and finished by commitStaged in phase B.
 func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 	sm.stats.TensorLoads += tileRows
 	var seqLo, seqHi uint64
@@ -527,11 +477,6 @@ func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 	anyMem := false
 	sm.lineBuf = sm.lineBuf[:0]
 	lb := uint64(sm.cfg.LineBytes)
-	st := sm.stage
-	depLo := 0
-	if st != nil {
-		depLo = len(st.deps)
-	}
 
 	for r := 0; r < tileRows; r++ {
 		rowAddr := in.Addr + uint64(r)*uint64(in.RowPitch)
@@ -552,18 +497,8 @@ func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 				hit = true
 				sm.stats.LoadsEliminated++
 				t := now + int64(sm.du.Latency())
-				meta := res.Meta
-				if st != nil {
-					if op, ok := st.pendLookup(pendKey(res.ID)); ok {
-						// The source load is staged this tick: its ready
-						// cycle is unknown until phase B replays it, and the
-						// entry meta is stale. Depend on the staged op.
-						st.deps = append(st.deps, op)
-						meta = 0
-					}
-				}
-				if meta > t {
-					t = meta
+				if res.Meta > t {
+					t = res.Meta
 				}
 				if t > complete {
 					complete = t
@@ -572,7 +507,7 @@ func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 				sm.stats.L1Accesses++
 				sm.stats.ServiceLines[ServiceLHB]++
 				if sm.tr != nil {
-					sm.emit(trace.Event{
+					sm.tr.Emit(sm.id, trace.Event{
 						Cycle: now, Kind: trace.KindLHBHit, Addr: rowAddr,
 						Sched: -1, Warp: int16(w.slot),
 					})
@@ -597,15 +532,6 @@ func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 		}
 	}
 
-	if st != nil && (anyMem || len(st.deps) > depLo) {
-		// Needs the shared level, or a ready time phase B has not resolved
-		// yet: defer. Pure-hit loads with fully-known metas fall through to
-		// the serial tail, which touches nothing shared when lineBuf is
-		// empty.
-		sm.stageLoad(w, in, now, complete, tracked, seqLo, seqHi, depLo)
-		return
-	}
-
 	// Memory path for the missing rows: line requests serialized on the L1
 	// tag port.
 	var memReady int64
@@ -621,7 +547,7 @@ func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 		}
 		sm.stats.ServiceLines[src]++
 		if sm.tr != nil {
-			sm.emit(trace.Event{
+			sm.tr.Emit(sm.id, trace.Event{
 				Cycle: t, Kind: trace.KindService, Addr: line,
 				Level: int8(src), Sched: -1, Warp: int16(w.slot),
 			})
@@ -661,7 +587,7 @@ func (sm *smState) accessLine(line uint64, t int64) (int64, ServiceLevel) {
 			sm.stats.MSHRMerges++
 			sm.stats.L1Hits++ // serviced without new traffic
 			if sm.tr != nil {
-				sm.emit(trace.Event{
+				sm.tr.Emit(sm.id, trace.Event{
 					Cycle: t, Kind: trace.KindMSHRMerge, Addr: line,
 					Sched: -1, Warp: -1,
 				})
@@ -681,27 +607,20 @@ func (sm *smState) accessLine(line uint64, t int64) (int64, ServiceLevel) {
 }
 
 // issueStore processes a wmma.store.d: write-through line transactions.
-// The store's completion time is local (StoreLatency), so in sharded mode
-// only the line transactions — L1 port arbitration plus the write-through
-// DRAM bandwidth charge — are staged for phase B.
 func (sm *smState) issueStore(w *warpCtx, in Instr, now int64) {
 	sm.stats.Stores++
 	if sm.du != nil {
 		sm.du.Store(in.Addr) // consistency hook (§IV-B); no-op outside workspace
 	}
 	sm.lineBuf = lineSpan(sm.lineBuf[:0], in, sm.cfg.LineBytes)
-	if sm.stage != nil {
-		sm.stageStore(now)
-	} else {
-		for range sm.lineBuf {
-			t := now
-			if sm.l1Port > t {
-				t = sm.l1Port
-			}
-			sm.l1Port = t + 1
-			sm.stats.L1Accesses++
-			sm.mem.writeLine(t)
+	for range sm.lineBuf {
+		t := now
+		if sm.l1Port > t {
+			t = sm.l1Port
 		}
+		sm.l1Port = t + 1
+		sm.stats.L1Accesses++
+		sm.mem.writeLine(t)
 	}
 	complete := now + int64(sm.cfg.StoreLatency)
 	sm.ldstBusy = append(sm.ldstBusy, complete)

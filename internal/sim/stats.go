@@ -68,10 +68,8 @@ type Stats struct {
 	AllocCount  int64
 }
 
-// Add accumulates other into s (used to merge per-SM stats). The merge in
-// Run iterates SMs in ascending id order regardless of how many goroutines
-// simulated them: every field is integer-summed (no floats), so the merged
-// Stats are byte-identical at any Config.SMWorkers value.
+// Add accumulates other into s (used to merge per-SM stats in ascending id
+// order). Every field is integer-summed (no floats).
 func (s *Stats) Add(o Stats) {
 	s.Instructions += o.Instructions
 	s.TensorLoads += o.TensorLoads
