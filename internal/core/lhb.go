@@ -3,6 +3,8 @@ package duplo
 import (
 	"fmt"
 	"math/bits"
+
+	"duplo/internal/flat"
 )
 
 // PhysReg identifies a physical warp-register group holding one loaded
@@ -102,7 +104,7 @@ type lhbEntry struct {
 // Storage is a single entry slab in both modes. The set-associative mode
 // (hardware design point) uses a fixed sets*ways slab; oracle mode grows the
 // slab on demand and recycles slots through a free list, with a key->slot
-// map standing in for the tag match. Retire-based release walks the
+// table standing in for the tag match. Retire-based release walks the
 // intrusive lastUser chain — no per-access heap allocation on any path.
 type LHB struct {
 	cfg      LHBConfig
@@ -110,10 +112,10 @@ type LHB struct {
 	idxMask  uint32
 	idxBits  uint
 	pid      uint32
-	entries  []lhbEntry       // set-assoc: sets*ways fixed; oracle: grown slab
-	oracle   map[uint64]int32 // oracle mode: key -> slab slot
-	oFree    []int32          // oracle mode: recycled slab slots
-	userHead map[uint64]int32 // instrSeq -> head of its user chain
+	entries  []lhbEntry // set-assoc: sets*ways fixed; oracle: grown slab
+	oracle   flat.Table // oracle mode: key -> slab slot
+	oFree    []int32    // oracle mode: recycled slab slots
+	userHead flat.Table // instrSeq -> head of its user chain
 	clock    uint64
 	Stats    LHBStats
 }
@@ -124,9 +126,8 @@ func NewLHB(cfg LHBConfig, pid uint32) (*LHB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	l := &LHB{cfg: cfg, pid: pid, userHead: make(map[uint64]int32)}
+	l := &LHB{cfg: cfg, pid: pid}
 	if cfg.Oracle {
-		l.oracle = make(map[uint64]int32)
 		return l, nil
 	}
 	l.sets = cfg.Entries / cfg.Ways
@@ -143,11 +144,11 @@ func NewLHB(cfg LHBConfig, pid uint32) (*LHB, error) {
 func (l *LHB) Reset() {
 	l.Stats = LHBStats{}
 	l.clock = 0
-	clear(l.userHead)
+	l.userHead.Reset()
 	if l.cfg.Oracle {
 		l.entries = l.entries[:0]
 		l.oFree = l.oFree[:0]
-		clear(l.oracle)
+		l.oracle.Reset()
 		return
 	}
 	for i := range l.entries {
@@ -186,24 +187,25 @@ func (l *LHB) tag(id ID) uint64 {
 
 // pushUser prepends slab slot i to instrSeq's user chain.
 func (l *LHB) pushUser(instrSeq uint64, i int32) {
-	if head, ok := l.userHead[instrSeq]; ok {
-		l.entries[i].nextUser = head
+	if head, ok := l.userHead.Get(instrSeq); ok {
+		l.entries[i].nextUser = int32(head)
 	} else {
 		l.entries[i].nextUser = noEntry
 	}
-	l.userHead[instrSeq] = i
+	l.userHead.Set(instrSeq, int64(i))
 }
 
 // unlinkUser removes slab slot i from its lastUser chain. Chains hold the
 // few rows of one instruction, so the predecessor walk is short.
 func (l *LHB) unlinkUser(i int32) {
 	e := &l.entries[i]
-	head := l.userHead[e.lastUser]
+	h, _ := l.userHead.Get(e.lastUser)
+	head := int32(h)
 	if head == i {
 		if e.nextUser == noEntry {
-			delete(l.userHead, e.lastUser)
+			l.userHead.Delete(e.lastUser)
 		} else {
-			l.userHead[e.lastUser] = e.nextUser
+			l.userHead.Set(e.lastUser, int64(e.nextUser))
 		}
 		return
 	}
@@ -234,11 +236,12 @@ func (l *LHB) Lookup(id ID, instrSeq uint64) (PhysReg, int64, bool) {
 	l.Stats.Lookups++
 	l.clock++
 	if l.cfg.Oracle {
-		i, ok := l.oracle[l.key(id)]
+		slot, ok := l.oracle.Get(l.key(id))
 		if !ok {
 			l.Stats.Misses++
 			return InvalidReg, 0, false
 		}
+		i := int32(slot)
 		l.Stats.Hits++
 		l.Stats.Relays++
 		l.moveUser(i, instrSeq)
@@ -272,9 +275,9 @@ func (l *LHB) Insert(id ID, reg PhysReg, instrSeq uint64, meta int64) {
 	if l.cfg.Oracle {
 		k := l.key(id)
 		var i int32
-		if old, ok := l.oracle[k]; ok {
-			l.unlinkUser(old)
-			i = old
+		if old, ok := l.oracle.Get(k); ok {
+			i = int32(old)
+			l.unlinkUser(i)
 		} else if n := len(l.oFree); n > 0 {
 			i = l.oFree[n-1]
 			l.oFree = l.oFree[:n-1]
@@ -283,7 +286,7 @@ func (l *LHB) Insert(id ID, reg PhysReg, instrSeq uint64, meta int64) {
 			i = int32(len(l.entries) - 1)
 		}
 		l.entries[i] = lhbEntry{valid: true, tag: k, reg: reg, meta: meta, lastUser: instrSeq}
-		l.oracle[k] = i
+		l.oracle.Set(k, int64(i))
 		l.pushUser(instrSeq, i)
 		return
 	}
@@ -320,24 +323,24 @@ func (l *LHB) Retire(instrSeq uint64) {
 	if l.cfg.NeverEvict {
 		return
 	}
-	head, ok := l.userHead[instrSeq]
+	head, ok := l.userHead.Get(instrSeq)
 	if !ok {
 		return
 	}
 	// Every chain member has lastUser == instrSeq by the unlink discipline
 	// (Insert/Lookup/StoreInvalidate re-home or unlink entries eagerly).
-	for i := head; i != noEntry; {
+	for i := int32(head); i != noEntry; {
 		e := &l.entries[i]
 		next := e.nextUser
 		e.valid = false
 		if l.cfg.Oracle {
-			delete(l.oracle, e.tag)
+			l.oracle.Delete(e.tag)
 			l.oFree = append(l.oFree, i)
 		}
 		l.Stats.Releases++
 		i = next
 	}
-	delete(l.userHead, instrSeq)
+	l.userHead.Delete(instrSeq)
 }
 
 // StoreInvalidate releases the entry matching id, if any — the consistency
@@ -346,9 +349,10 @@ func (l *LHB) Retire(instrSeq uint64) {
 func (l *LHB) StoreInvalidate(id ID) {
 	if l.cfg.Oracle {
 		k := l.key(id)
-		if i, ok := l.oracle[k]; ok {
+		if slot, ok := l.oracle.Get(k); ok {
+			i := int32(slot)
 			l.unlinkUser(i)
-			delete(l.oracle, k)
+			l.oracle.Delete(k)
 			l.entries[i].valid = false
 			l.oFree = append(l.oFree, i)
 			l.Stats.StoreEvicts++
@@ -368,10 +372,10 @@ func (l *LHB) StoreInvalidate(id ID) {
 	}
 }
 
-// Live returns the number of valid entries (oracle: map size).
+// Live returns the number of valid entries (oracle: tag-store size).
 func (l *LHB) Live() int {
 	if l.cfg.Oracle {
-		return len(l.oracle)
+		return l.oracle.Len()
 	}
 	n := 0
 	for i := range l.entries {
@@ -388,7 +392,7 @@ func (l *LHB) Config() LHBConfig { return l.cfg }
 // SetMeta updates the metadata of the live entry mapping id, if present.
 func (l *LHB) SetMeta(id ID, meta int64) {
 	if l.cfg.Oracle {
-		if i, ok := l.oracle[l.key(id)]; ok {
+		if i, ok := l.oracle.Get(l.key(id)); ok {
 			l.entries[i].meta = meta
 		}
 		return

@@ -1,6 +1,10 @@
 package duplo
 
-import "fmt"
+import (
+	"fmt"
+
+	"duplo/internal/flat"
+)
 
 // RenameTable implements warp-granular register renaming, adopted from the
 // WIR scheme of Kim et al. [15] (§IV-B, Fig. 7). Each (warp, architectural
@@ -18,7 +22,7 @@ type RenameTable struct {
 	next     PhysReg
 	// refs counts how many (warp, arch) slots point at each physical
 	// register group, to measure sharing (register-file savings).
-	refs map[PhysReg]int
+	refs flat.Table
 
 	Renames uint64 // duplicate-induced renames (LHB hits)
 	Allocs  uint64 // fresh allocations (LHB misses / non-workspace loads)
@@ -34,7 +38,6 @@ func NewRenameTable(warps, archRegs int) *RenameTable {
 		warps:    warps,
 		archRegs: archRegs,
 		table:    make([]PhysReg, warps*archRegs),
-		refs:     make(map[PhysReg]int),
 	}
 	for i := range t.table {
 		t.table[i] = InvalidReg
@@ -57,7 +60,7 @@ func (t *RenameTable) Alloc(warp, arch int) PhysReg {
 	r := t.next
 	t.next++
 	t.table[s] = r
-	t.refs[r] = 1
+	t.refs.Set(uint64(r), 1)
 	t.Allocs++
 	return r
 }
@@ -72,7 +75,8 @@ func (t *RenameTable) RenameTo(warp, arch int, r PhysReg) {
 	s := t.slot(warp, arch)
 	t.release(t.table[s])
 	t.table[s] = r
-	t.refs[r]++
+	n, _ := t.refs.Get(uint64(r))
+	t.refs.Set(uint64(r), n+1)
 	t.Renames++
 }
 
@@ -81,20 +85,23 @@ func (t *RenameTable) RenameTo(warp, arch int, r PhysReg) {
 func (t *RenameTable) Lookup(warp, arch int) PhysReg { return t.table[t.slot(warp, arch)] }
 
 // SharedWith returns how many rename slots currently reference r.
-func (t *RenameTable) SharedWith(r PhysReg) int { return t.refs[r] }
+func (t *RenameTable) SharedWith(r PhysReg) int {
+	n, _ := t.refs.Get(uint64(r))
+	return int(n)
+}
 
 // LivePhysRegs returns the number of distinct physical register groups
 // currently referenced — the register-file occupancy a duplicate-sharing
 // scheme saves compared to Allocs.
-func (t *RenameTable) LivePhysRegs() int { return len(t.refs) }
+func (t *RenameTable) LivePhysRegs() int { return t.refs.Len() }
 
 // Reset returns the table to its just-built state, reusing the backing
-// array and the refs map (sim.Arena reuse protocol).
+// array and the refs table (sim.Arena reuse protocol).
 func (t *RenameTable) Reset() {
 	for i := range t.table {
 		t.table[i] = InvalidReg
 	}
-	clear(t.refs)
+	t.refs.Reset()
 	t.next = 0
 	t.Renames = 0
 	t.Allocs = 0
@@ -104,8 +111,9 @@ func (t *RenameTable) release(r PhysReg) {
 	if r == InvalidReg {
 		return
 	}
-	t.refs[r]--
-	if t.refs[r] <= 0 {
-		delete(t.refs, r)
+	if n, _ := t.refs.Get(uint64(r)); n > 1 {
+		t.refs.Set(uint64(r), n-1)
+	} else {
+		t.refs.Delete(uint64(r))
 	}
 }

@@ -3,7 +3,7 @@ package sim
 import duplo "duplo/internal/core"
 
 // Arena is a reusable bundle of per-run simulator state: the memory system,
-// the per-SM states (L1 arrays, MSHR maps, warp contexts) and the per-SM
+// the per-SM states (L1 arrays, MSHR tables, warp contexts) and the per-SM
 // Duplo detection units. A sweep's Nth cell hands the arena its (N-1)th
 // cell's buffers back through RunPooledContext instead of rebuilding
 // everything — newMemSystem plus SimSMs×newSM plus NewDetectionUnit is the
@@ -105,7 +105,7 @@ func (sm *smState) reset(cfg Config, mem *memSystem, gpu *gpuState) {
 	sm.du = nil
 	sm.tr = cfg.Tracer
 	sm.l1.reset()
-	clear(sm.mshr)
+	sm.mshr.Reset()
 	sm.l1Port = 0
 	for i := range sm.pbFree {
 		sm.pbFree[i] = 0

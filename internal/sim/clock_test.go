@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	duplo "duplo/internal/core"
@@ -20,7 +21,9 @@ func clockModes(cfg Config) (event, dense Config) {
 // diffRun simulates k under both clock modes and requires byte-identical
 // results: every Stats field (including the arithmetically accounted stall
 // counters) and the CTA counts. Kernel and Config are inputs, not outputs,
-// so they are excluded (Config necessarily differs in DenseClock).
+// so they are excluded (Config necessarily differs in DenseClock). Both
+// results must also pass the accounting invariants, whose issue-slot
+// conservation checks the skip accounting without the dense oracle.
 func diffRun(t *testing.T, name string, cfg Config, k *Kernel) {
 	t.Helper()
 	eventCfg, denseCfg := clockModes(cfg)
@@ -35,6 +38,8 @@ func diffRun(t *testing.T, name string, cfg Config, k *Kernel) {
 	if ev.Stats != de.Stats {
 		t.Errorf("%s: clock modes diverged\nevent: %+v\ndense: %+v", name, ev.Stats, de.Stats)
 	}
+	checkInvariants(t, ev, cfg.Duplo)
+	checkInvariants(t, de, cfg.Duplo)
 	if ev.SimulatedCTAs != de.SimulatedCTAs || ev.TotalCTAs != de.TotalCTAs {
 		t.Errorf("%s: CTA counts diverged: %d/%d vs %d/%d",
 			name, ev.SimulatedCTAs, ev.TotalCTAs, de.SimulatedCTAs, de.TotalCTAs)
@@ -59,7 +64,10 @@ func TestClockModesByteIdenticalSmall(t *testing.T) {
 // over the Fig. 9 quick workloads (the determinism subset of the
 // experiment engine: a duplication-rich stride-1 layer, a strided layer,
 // and a GAN transposed layer), Duplo off and on (1024-entry LHB and the
-// oracle) — the contract PR 1's byte-identical-tables promise rests on.
+// oracle) — the contract the engine's byte-identical tables rest on. Next
+// to the quick-scale slice (2 SMs, 12 CTAs) it runs two uneven ones, where
+// SMs finish at different cycles and then sit idle while the rest run: the
+// per-SM skips and the end-of-run settle.
 func TestClockModesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -88,23 +96,30 @@ func TestClockModesByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range modes {
-			// Quick scale, like experiments.QuickOptions.
-			cfg := TitanVConfig()
-			cfg.MaxCTAs = 12
-			cfg.SimSMs = 2
-			m.set(&cfg)
-			diffRun(t, l.FullName()+"/"+m.name, cfg, k)
+		for _, sl := range unevenSlices(2, 12) {
+			for _, m := range modes {
+				cfg := TitanVConfig()
+				cfg.SimSMs, cfg.MaxCTAs = sl.sms, sl.ctas
+				m.set(&cfg)
+				diffRun(t, fmt.Sprintf("%s/%dsm-%dcta/%s", l.FullName(), sl.sms, sl.ctas, m.name), cfg, k)
+			}
 		}
 	}
 }
 
+// unevenSlices returns the base (SimSMs, MaxCTAs) slice followed by two
+// uneven ones, 3 SMs / 13 CTAs and 4 SMs / 16 CTAs.
+func unevenSlices(sms, ctas int) []struct{ sms, ctas int } {
+	return []struct{ sms, ctas int }{{sms, ctas}, {3, 13}, {4, 16}}
+}
+
 // TestEventClockSkips asserts the event-driven loop actually takes the
 // skip path on a memory-bound configuration — guarding against the
-// optimization silently degenerating to dense ticking. Simulated cycles
-// must vastly exceed executed ticks; we can only observe the former, so
-// the proxy is that stall cycles dominate total scheduler-cycles, which is
-// exactly the regime where skipping pays.
+// optimization silently degenerating to dense ticking. The run must be
+// stall-dominated (the regime where skipping pays), the chip clock must
+// visit fewer cycles than it simulates, and SMs must sleep through some of
+// the visited cycles: executed SM ticks stay below loop iterations × SMs,
+// which a loop ticking every SM whenever any SM can act would equal.
 func TestEventClockSkips(t *testing.T) {
 	k, err := NewConvKernel("skip", testLayer)
 	if err != nil {
@@ -113,6 +128,8 @@ func TestEventClockSkips(t *testing.T) {
 	cfg := testConfig()
 	cfg.L1KB = 8
 	cfg.L2KB = 64
+	var g *gpuState
+	setInjection(t, func(gs *gpuState) { g = gs })
 	res, err := Run(cfg, k)
 	if err != nil {
 		t.Fatal(err)
@@ -121,6 +138,15 @@ func TestEventClockSkips(t *testing.T) {
 	if res.IssueStallCycles*2 < schedCycles {
 		t.Fatalf("expected a stall-dominated run (stalls %d of %d scheduler-cycles)",
 			res.IssueStallCycles, schedCycles)
+	}
+	// checkGuard runs on every loop iteration but the last.
+	iterations := g.guard.ticks + 1
+	if iterations >= res.Cycles+1 {
+		t.Errorf("chip clock visited %d of %d cycles: no cycle skipped", iterations, res.Cycles+1)
+	}
+	if all := iterations * int64(cfg.SimSMs); g.smTicks >= all {
+		t.Errorf("executed %d SM ticks over %d loop iterations x %d SMs: no SM slept",
+			g.smTicks, iterations, cfg.SimSMs)
 	}
 }
 

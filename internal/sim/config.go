@@ -82,11 +82,12 @@ type Config struct {
 	// preserves hit rates and speedup shape (DESIGN.md §3).
 	MaxCTAs int
 
-	// DenseClock forces the dense one-cycle-at-a-time loop instead of the
-	// default event-driven clock that skips cycles where no SM can make
-	// progress. Results are byte-identical either way (the differential
-	// test in clock_test.go is the gate); the flag exists as an escape
-	// hatch and as the baseline for the clocking benchmarks.
+	// DenseClock ticks every SM on every cycle instead of the default
+	// per-SM clock, which ticks an SM only on cycles where it can act and
+	// accounts its skipped cycles arithmetically. Results are
+	// byte-identical either way (the differential tests in clock_test.go
+	// are the gate); the dense loop is their oracle and the baseline for
+	// the clocking benchmarks.
 	DenseClock bool
 
 	// --- Hardening: run bounds and diagnostics ---

@@ -44,6 +44,12 @@ func writeCrashDump(g *gpuState, se *SimError) (string, error) {
 				fmt.Fprintf(&b, "\n[dump truncated: formatter panicked: %v]\n", r)
 			}
 		}()
+		// Sleeping SMs' stall counters lag their skipped ticks: settle
+		// every SM through the cycle before the failure so the dumped
+		// counters read as the dense clock's would.
+		for _, sm := range g.sms {
+			sm.settle(se.Cycle)
+		}
 		formatCrashDump(&b, g, se)
 	}()
 	_, werr := f.WriteString(b.String())
@@ -87,9 +93,9 @@ func formatCrashDump(b *strings.Builder, g *gpuState, se *SimError) {
 		g.nextCTA, g.totalCTAs, g.progress, g.guard.lastProgressAt, g.guard.window)
 
 	for _, sm := range g.sms {
-		fmt.Fprintf(b, "\nSM %d: resident=%d l1Port=%d ldst=%s mshr=%d lhbRelease=%s\n",
-			sm.id, sm.resident, sm.l1Port, dumpQueue(sm.ldstBusy, sm.cfg.LDSTQueueDepth),
-			len(sm.mshr), dumpReleases(sm.lhbRelease))
+		fmt.Fprintf(b, "\nSM %d: resident=%d wake=%s l1Port=%d ldst=%s mshr=%d lhbRelease=%s\n",
+			sm.id, sm.resident, dumpCycle(sm.wake), sm.l1Port, dumpQueue(sm.ldstBusy, sm.cfg.LDSTQueueDepth),
+			sm.mshr.Len(), dumpReleases(sm.lhbRelease))
 		fmt.Fprintf(b, "  stats: %s\n", sm.stats.DumpSummary())
 		shown, active := 0, 0
 		for s := range sm.warps {

@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 
 	duplo "duplo/internal/core"
-	"duplo/internal/trace"
 )
 
 // Result is the outcome of one kernel simulation.
@@ -59,6 +58,9 @@ type gpuState struct {
 	// now mirrors the loop's current cycle so crash dumps written from a
 	// panic recovery know where the clock stood.
 	now int64
+	// smTicks counts executed SM ticks; with per-SM skipping it stays below
+	// loop iterations × SMs (TestEventClockSkips).
+	smTicks int64
 }
 
 // runGuard bundles the per-run hardening state consulted once per loop
@@ -196,12 +198,14 @@ const maxSimCycles = int64(4) << 30
 // what lets the parallel experiment engine promise byte-identical tables at
 // any worker count.
 //
-// Clocking: by default the cycle loop is event-driven — when a tick issues
-// nothing chip-wide, the dispatcher jumps `now` straight to the minimum
-// nextWake cycle over all SMs instead of re-ticking every dead cycle, and
-// accounts the skipped span's stall counters arithmetically. Every Stats
-// field (including IssueStallCycles / LDSTStallCycles) is byte-identical to
-// the dense one-cycle-at-a-time loop, which remains available behind
+// Clocking: by default each SM keeps its own clock. An SM whose tick
+// issues nothing sleeps until its nextWake cycle, and the chip clock jumps
+// to the earliest wake over all SMs, so a cycle ticks only the SMs that
+// can act there. A sleeping SM's skipped ticks are accounted
+// arithmetically (stall counters and one trace span) when it next ticks,
+// at run end, and before a crash dump. Every Stats field (including
+// IssueStallCycles / LDSTStallCycles) is byte-identical to the dense
+// loop that ticks every SM on every cycle, which remains available behind
 // cfg.DenseClock (asserted by TestClockModesByteIdentical; see DESIGN.md
 // §3 "Clocking").
 //
@@ -385,67 +389,55 @@ func (g *gpuState) runLoops() (now int64, err error) {
 			err = g.containPanic(r, debug.Stack())
 		}
 	}()
-	blocked := make([]int, len(g.sms)) // per-SM ldst-blocked schedulers this tick
+	for _, sm := range g.sms {
+		sm.wake, sm.lastTick = 0, -1
+	}
 	for {
 		g.now = now
 		busy := false
 		issued := 0
-		for i, sm := range g.sms {
-			iss, blk := sm.tick(now)
-			issued += iss
-			blocked[i] = blk
+		next := farFuture
+		// SMs share state only through memSystem and the CTA dispatcher,
+		// and an SM touches either only when it ticks, so ticking the
+		// awake SMs in ascending order keeps memSystem's ordering
+		// contract: a sleeping SM's tick would have changed nothing.
+		for _, sm := range g.sms {
+			if sm.wake <= now {
+				sm.settle(now)
+				iss := sm.tick(now)
+				g.smTicks++
+				issued += iss
+				sm.wake = now + 1
+				if iss == 0 && !g.cfg.DenseClock {
+					sm.wake = sm.nextWake(now)
+				}
+			}
 			if sm.busy() {
 				busy = true
+			}
+			if sm.wake < next {
+				next = sm.wake
 			}
 		}
 		if !busy && g.nextCTA >= g.totalCTAs {
 			break
 		}
-		if issued == 0 && !g.cfg.DenseClock {
-			wake := farFuture
-			for _, sm := range g.sms {
-				if w := sm.nextWake(now); w < wake {
-					wake = w
-				}
-			}
-			now = g.accountSkip(now, wake, blocked)
+		if next >= farFuture {
+			// Busy, yet no SM waits on any event: a livelock. Step the
+			// chip clock one cycle at a time so the watchdog sees each.
+			next = now + 1
 		}
-		now++
+		now = next
 		if err := g.checkGuard(now, issued); err != nil {
 			return 0, err
 		}
 	}
+	// The dense clock ticks every SM on the final cycle too: settle the
+	// sleeping ones through it.
+	for _, sm := range g.sms {
+		sm.settle(now + 1)
+	}
 	return now, nil
-}
-
-// accountSkip applies the event-driven clock's jump: given the chip-wide
-// minimum wake cycle after a tick at `now` that issued nothing, it accounts
-// the dead span (now, wake) and returns the cycle the loop should increment
-// from (wake-1, so the caller's increment lands on the wake cycle), or now
-// unchanged when there is nothing to skip.
-func (g *gpuState) accountSkip(now, wake int64, blocked []int) int64 {
-	span := wake - now - 1
-	if span <= 0 || wake >= farFuture {
-		return now
-	}
-	// Dead span (now, wake): every state-change driver is in the wake set,
-	// so each skipped cycle would have stalled all schedulers of every SM —
-	// with the same per-SM LDST blockage this tick observed. Account those
-	// ticks arithmetically instead of running them. The tracer gets the
-	// same span so interval metrics can apportion it across bucket
-	// boundaries with identical arithmetic.
-	for i, sm := range g.sms {
-		sm.stats.IssueStallCycles += span * int64(g.cfg.Schedulers)
-		sm.stats.LDSTStallCycles += span * int64(blocked[i])
-		if sm.tr != nil {
-			sm.tr.Emit(sm.id, trace.Event{
-				Cycle: now + 1, Kind: trace.KindStallSpan,
-				A: span, B: int64(blocked[i]),
-				Sched: -1, Warp: -1,
-			})
-		}
-	}
-	return wake - 1
 }
 
 // Speedup returns (base cycles / duplo cycles) - 1 as the fractional

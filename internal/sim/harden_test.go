@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -125,19 +127,38 @@ func readDump(t *testing.T, se *SimError) string {
 	return string(data)
 }
 
+// dumpSMStats extracts each SM's (instr, issueStall) counters from a crash
+// dump, in SM order.
+func dumpSMStats(t *testing.T, dump string) [][2]int64 {
+	t.Helper()
+	re := regexp.MustCompile(`(?m)^SM \d+: .*\n  stats: instr=(\d+) .* issueStall=(\d+) `)
+	var out [][2]int64
+	for _, m := range re.FindAllStringSubmatch(dump, -1) {
+		instr, _ := strconv.ParseInt(m[1], 10, 64)
+		stall, _ := strconv.ParseInt(m[2], 10, 64)
+		out = append(out, [2]int64{instr, stall})
+	}
+	return out
+}
+
 // TestInjectedLivelockWatchdog is the acceptance matrix: an injected
 // livelock must fail within one watchdog window — with a *SimError and a
 // readable dump, never a hang — on both clocks, for both livelock shapes
-// (stuck scoreboards and an un-drainable LDST queue).
+// (stuck scoreboards and an un-drainable LDST queue), whole-chip and
+// partial (SM 1 stuck while SM 0 runs its CTAs to completion). The dump's
+// counters must be settled to the fire cycle: every scheduler of every SM
+// issued or stalled on each cycle before it.
 func TestInjectedLivelockWatchdog(t *testing.T) {
 	k := hardenKernel(t)
 	const window = 2000
 	injections := []struct {
-		name string
-		fn   func(*gpuState)
+		name    string
+		fn      func(*gpuState)
+		partial bool
 	}{
-		{"stuck-warps", injectStuckWarps},
-		{"full-ldst", func(g *gpuState) { injectFullLDST(g, 0, 1) }},
+		{"stuck-warps", injectStuckWarps, false},
+		{"full-ldst", func(g *gpuState) { injectFullLDST(g, 0, 1) }, false},
+		{"partial-full-ldst", func(g *gpuState) { injectFullLDST(g, 1) }, true},
 	}
 	for _, dense := range []bool{false, true} {
 		for _, inj := range injections {
@@ -150,11 +171,6 @@ func TestInjectedLivelockWatchdog(t *testing.T) {
 				setInjection(t, inj.fn)
 				_, err := Run(cfg, k)
 				se := asSimError(t, err, PhaseWatchdog)
-				// Progress never happens, so the fire cycle is the window
-				// itself (plus at most one tick of slack).
-				if se.Cycle < window || se.Cycle > window+1 {
-					t.Errorf("watchdog fired at cycle %d, want ~%d", se.Cycle, window)
-				}
 				if !strings.Contains(se.Reason, "no forward progress") {
 					t.Errorf("reason %q lacks the livelock diagnosis", se.Reason)
 				}
@@ -162,6 +178,29 @@ func TestInjectedLivelockWatchdog(t *testing.T) {
 				for _, want := range []string{"duplo crash dump", "phase:  watchdog", "SM 0:", "SM 1:", "warp"} {
 					if !strings.Contains(dump, want) {
 						t.Errorf("dump lacks %q", want)
+					}
+				}
+				// The fire cycle is one window past the last progress (cycle
+				// 0 when nothing ever issues), plus at most one tick of slack.
+				m := regexp.MustCompile(`lastProgressAt=(\d+)`).FindStringSubmatch(dump)
+				if m == nil {
+					t.Fatal("dump lacks lastProgressAt")
+				}
+				last, _ := strconv.ParseInt(m[1], 10, 64)
+				if inj.partial != (last > 0) {
+					t.Errorf("last progress at cycle %d, want progress only when SM 0 runs", last)
+				}
+				if d := se.Cycle - last; d < window || d > window+1 {
+					t.Errorf("watchdog fired at cycle %d, %d after the last progress, want ~%d", se.Cycle, d, window)
+				}
+				sms := dumpSMStats(t, dump)
+				if len(sms) != cfg.SimSMs {
+					t.Fatalf("dump shows stats for %d SMs, want %d", len(sms), cfg.SimSMs)
+				}
+				for i, st := range sms {
+					if want := int64(cfg.Schedulers) * se.Cycle; st[0]+st[1] != want {
+						t.Errorf("SM %d: instr %d + issueStall %d != %d schedulers x %d cycles",
+							i, st[0], st[1], cfg.Schedulers, se.Cycle)
 					}
 				}
 			})

@@ -63,6 +63,13 @@ func checkInvariants(t *testing.T, r Result, duploOn bool) {
 	if r.Cycles <= 0 {
 		t.Error("no cycles")
 	}
+	// Issue-slot conservation: on every cycle 0..Cycles each scheduler of
+	// each SM either issues or stalls, whether the clock ticked it or
+	// accounted its skipped cycle arithmetically.
+	if slots := int64(r.Config.Schedulers*r.Config.SimSMs) * (r.Cycles + 1); r.Instructions+r.IssueStallCycles != slots {
+		t.Errorf("instructions %d + issue stalls %d != %d issue slots (%d schedulers x %d SMs x %d cycles)",
+			r.Instructions, r.IssueStallCycles, slots, r.Config.Schedulers, r.Config.SimSMs, r.Cycles+1)
+	}
 }
 
 func TestAccountingInvariants(t *testing.T) {

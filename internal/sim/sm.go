@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	duplo "duplo/internal/core"
+	"duplo/internal/flat"
 	"duplo/internal/trace"
 )
 
@@ -78,7 +79,7 @@ type smState struct {
 	du   *duplo.DetectionUnit
 	tr   trace.Tracer // nil unless Config.Tracer is set
 	l1   *cacheArray
-	mshr map[uint64]int64 // lineAddr -> fill cycle
+	mshr flat.Table // lineAddr -> fill cycle
 
 	l1Port int64   // next free L1 tag-port cycle (1 line/cycle)
 	pbFree []int64 // per-scheduler processing-block (tensor core) free cycle
@@ -105,6 +106,14 @@ type smState struct {
 	ctaWarpsLeft map[int]int // resident CTA -> unfinished warps
 	resident     int
 
+	// The SM's own clock (gpuState.runLoops): the SM next ticks at wake;
+	// lastTick is the last cycle it ticked or settled, and ldstBlocked the
+	// LDST-blocked scheduler count that tick observed — the per-cycle
+	// stall profile of every cycle it skips until wake.
+	wake        int64
+	lastTick    int64
+	ldstBlocked int
+
 	stats   Stats
 	lineBuf []uint64
 }
@@ -117,7 +126,6 @@ func newSM(cfg Config, id int, mem *memSystem, gpu *gpuState) *smState {
 		gpu:          gpu,
 		tr:           cfg.Tracer,
 		l1:           newCacheArray(cfg.L1KB<<10, cfg.LineBytes, 8),
-		mshr:         make(map[uint64]int64),
 		pbFree:       make([]int64, cfg.Schedulers),
 		warps:        make([]warpCtx, cfg.MaxWarpsPerSM),
 		greedy:       make([]int, cfg.Schedulers),
@@ -209,14 +217,14 @@ func (sm *smState) placeCTA(k *Kernel, cta int, launchSeq int64) {
 
 // tick advances the SM by one cycle: LHB releases, retirement, LDST queue
 // drain, then one scheduling attempt per warp scheduler. It returns how
-// many instructions issued and how many schedulers stalled on a full LDST
-// queue this cycle; the dispatcher uses both to decide whether the chip is
-// dead at `now` and, if so, to account the skipped span's stall counters
-// arithmetically.
-func (sm *smState) tick(now int64) (issued, ldstBlocked int) {
+// many instructions issued, and records the cycle and how many schedulers
+// stalled on a full LDST queue, which settle charges to every cycle the
+// SM then skips.
+func (sm *smState) tick(now int64) (issued int) {
 	sm.releaseLHB(now)
 	sm.retire(now)
 	sm.drainLDST(now)
+	ldstBlocked := 0
 	for sid := 0; sid < sm.cfg.Schedulers; sid++ {
 		ok, blocked := sm.scheduleOne(sid, now)
 		if ok {
@@ -234,7 +242,31 @@ func (sm *smState) tick(now int64) (issued, ldstBlocked int) {
 			Sched: -1, Warp: -1,
 		})
 	}
-	return issued, ldstBlocked
+	sm.lastTick, sm.ldstBlocked = now, ldstBlocked
+	return issued
+}
+
+// settle accounts the ticks this SM skipped before cycle now (those after
+// lastTick). The SM skips only cycles before its wake, and nextWake covers
+// every event that could change what a tick does, so each skipped tick
+// would have stalled all schedulers with the LDST blockage the last tick
+// observed: the counters advance arithmetically, and the tracer gets one
+// KindStallSpan to apportion across its intervals the same way.
+func (sm *smState) settle(now int64) {
+	span := now - 1 - sm.lastTick
+	if span <= 0 {
+		return
+	}
+	sm.lastTick = now - 1
+	sm.stats.IssueStallCycles += span * int64(sm.cfg.Schedulers)
+	sm.stats.LDSTStallCycles += span * int64(sm.ldstBlocked)
+	if sm.tr != nil {
+		sm.tr.Emit(sm.id, trace.Event{
+			Cycle: now - span, Kind: trace.KindStallSpan,
+			A: span, B: int64(sm.ldstBlocked),
+			Sched: -1, Warp: -1,
+		})
+	}
 }
 
 // retire pops completed instructions in program order per warp. Retired
@@ -314,17 +346,20 @@ func (sm *smState) releaseLHB(now int64) {
 	}
 }
 
-// mshrSweepLen is the MSHR map size beyond which drainLDST sweeps dead
-// entries. Real MSHRs hold tens of entries; the map is allowed to grow well
-// past that as a fill-time memo, but without a sweep it would accrete one
-// entry per distinct line ever missed over a multi-million-cycle run.
+// mshrSweepLen is the MSHR table size beyond which drainLDST sweeps dead
+// entries. An entry whose fill has passed is dead — accessLine treats it
+// as absent — but it leaves the table only when its line is touched again,
+// so without a sweep the table would accrete one entry per distinct line
+// ever missed over a multi-million-cycle run. Live entries are bounded by
+// the misses in flight (at most LDSTQueueDepth loads' worth of lines), far
+// below this size, so a sweep frees most of the table and runs rarely.
 const mshrSweepLen = 1 << 12
 
 // drainLDST frees queue slots whose memory operations completed, and keeps
-// the MSHR map bounded by sweeping entries whose fills are in the past.
+// the MSHR table bounded by sweeping entries whose fills are in the past.
 // The sweep is behavior-invisible: accessLine deletes a passed entry on
-// first touch anyway, and the fill <= now condition is per-entry, so map
-// iteration order cannot leak into results.
+// first touch anyway, and the fill <= now condition is per-entry, so the
+// table's slot order cannot leak into results.
 func (sm *smState) drainLDST(now int64) {
 	q := sm.ldstBusy[:0]
 	for _, t := range sm.ldstBusy {
@@ -333,12 +368,8 @@ func (sm *smState) drainLDST(now int64) {
 		}
 	}
 	sm.ldstBusy = q
-	if len(sm.mshr) > mshrSweepLen {
-		for line, fill := range sm.mshr {
-			if fill <= now {
-				delete(sm.mshr, line)
-			}
-		}
+	if sm.mshr.Len() > mshrSweepLen {
+		sm.mshr.DeleteFunc(func(_ uint64, fill int64) bool { return fill <= now })
 	}
 }
 
@@ -581,7 +612,7 @@ func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 func (sm *smState) accessLine(line uint64, t int64) (int64, ServiceLevel) {
 	sm.stats.L1Accesses++
 	l1Lat := int64(sm.cfg.L1LatencyCycles)
-	if fill, pending := sm.mshr[line]; pending {
+	if fill, pending := sm.mshr.Get(line); pending {
 		if fill > t {
 			// Merge into the outstanding miss.
 			sm.stats.MSHRMerges++
@@ -594,7 +625,7 @@ func (sm *smState) accessLine(line uint64, t int64) (int64, ServiceLevel) {
 			}
 			return fill, ServiceL1
 		}
-		delete(sm.mshr, line)
+		sm.mshr.Delete(line)
 	}
 	if sm.l1.Lookup(line) {
 		sm.stats.L1Hits++
@@ -602,7 +633,7 @@ func (sm *smState) accessLine(line uint64, t int64) (int64, ServiceLevel) {
 	}
 	fill, src := sm.mem.readLine(line, t+l1Lat)
 	sm.l1.Insert(line)
-	sm.mshr[line] = fill
+	sm.mshr.Set(line, fill)
 	return fill, src
 }
 
@@ -635,11 +666,14 @@ const farFuture = int64(1) << 62
 
 // nextWake returns a conservative lower bound (> now, or farFuture when the
 // SM has nothing pending) on the next cycle at which this SM's tick could
-// do anything a fully-stalled dense tick would not: issue an instruction,
-// retire a ROB entry, release an LHB entry, or drain an LDST queue slot.
-// The dispatcher calls it only after a tick(now) that issued nothing
-// chip-wide, so every active warp is gated on one of the events below; the
-// wake set is
+// do anything a fully-stalled tick would not: issue an instruction, retire
+// a ROB entry, release an LHB entry, or drain an LDST queue slot. The SM
+// sleeps until then (gpuState.runLoops). Only the SM's own ticks change
+// these events — other SMs reach it through memSystem and the CTA
+// dispatcher, which it touches only when it ticks — so the bound holds
+// however the rest of the chip runs. runLoops calls it only after a
+// tick(now) in which this SM issued nothing, so every active warp is gated
+// on one of the events below; the wake set is
 //
 //   - the earliest ldstBusy drain (opens LDST queue back-pressure),
 //   - the head lhbRelease.at (LHB entry releases run at exact cycles),

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	duplo "duplo/internal/core"
@@ -130,7 +131,9 @@ func collect(t *testing.T, cfg Config, k *Kernel, interval int64) (Result, *trac
 // reproduce the final Stats exactly — on both clocks, so the skipped
 // spans' arithmetic apportioning is covered — and the per-interval series
 // itself must be identical across clock modes (a skipped span lands its
-// stall cycles in the same buckets dense ticking would have).
+// stall cycles in the same buckets dense ticking would have). The uneven
+// slices leave SMs idle while others run, so their spans are settled at
+// run end.
 func TestIntervalConservation(t *testing.T) {
 	k, err := NewConvKernel("trace-conserve", testLayer)
 	if err != nil {
@@ -138,66 +141,77 @@ func TestIntervalConservation(t *testing.T) {
 	}
 	// A deliberately awkward interval so spans cross bucket boundaries.
 	const interval = 777
-	for _, duploOn := range []bool{false, true} {
-		cfg := testConfig()
-		if duploOn {
-			cfg.Duplo = true
-			cfg.DetectCfg.LHB = duplo.DefaultLHBConfig()
+	base := testConfig()
+	for _, sl := range unevenSlices(base.SimSMs, base.MaxCTAs) {
+		for _, duploOn := range []bool{false, true} {
+			conserveIntervals(t, fmt.Sprintf("%dsm-%dcta/duplo=%v", sl.sms, sl.ctas, duploOn),
+				k, sl.sms, sl.ctas, duploOn, interval)
 		}
-		evCfg := cfg
-		evCfg.DenseClock = false
-		deCfg := cfg
-		deCfg.DenseClock = true
+	}
+}
 
-		evRes, evCol := collect(t, evCfg, k, interval)
-		deRes, deCol := collect(t, deCfg, k, interval)
-		if evRes.Stats != deRes.Stats {
-			t.Fatalf("duplo=%v: clock modes diverged (pre-existing gate)", duploOn)
-		}
+// conserveIntervals is one TestIntervalConservation case.
+func conserveIntervals(t *testing.T, name string, k *Kernel, sms, ctas int, duploOn bool, interval int64) {
+	t.Helper()
+	cfg := testConfig()
+	cfg.SimSMs, cfg.MaxCTAs = sms, ctas
+	if duploOn {
+		cfg.Duplo = true
+		cfg.DetectCfg.LHB = duplo.DefaultLHBConfig()
+	}
+	evCfg := cfg
+	evCfg.DenseClock = false
+	deCfg := cfg
+	deCfg.DenseClock = true
 
-		for _, c := range []struct {
-			clock string
-			res   Result
-			col   *trace.Collector
-		}{{"event", evRes, evCol}, {"dense", deRes, deCol}} {
-			tot := c.col.Totals()
-			s := c.res.Stats
-			checks := []struct {
-				name      string
-				got, want int64
-			}{
-				{"Instructions", tot.Instructions, s.Instructions},
-				{"TensorLoads", tot.TensorLoads, s.TensorLoads},
-				{"LoadsEliminated", tot.LoadsEliminated, s.LoadsEliminated},
-				{"MMAs", tot.MMAs, s.MMAs},
-				{"Stores", tot.Stores, s.Stores},
-				{"IssueStallCycles", tot.IssueStallCycles, s.IssueStallCycles},
-				{"LDSTStallCycles", tot.LDSTStallCycles, s.LDSTStallCycles},
-				{"MSHRMerges", tot.MSHRMerges, s.MSHRMerges},
-				{"DRAMLines", tot.DRAMLines(), s.DRAMLines},
-				{"ServiceLHB", tot.ServiceLines[trace.LevelLHB], s.ServiceLines[ServiceLHB]},
-				{"ServiceL1", tot.ServiceLines[trace.LevelL1], s.ServiceLines[ServiceL1]},
-				{"ServiceL2", tot.ServiceLines[trace.LevelL2], s.ServiceLines[ServiceL2]},
-				{"ServiceDRAM", tot.ServiceLines[trace.LevelDRAM], s.ServiceLines[ServiceDRAM]},
-			}
-			for _, ch := range checks {
-				if ch.got != ch.want {
-					t.Errorf("duplo=%v %s clock: interval sum %s = %d, Stats %d",
-						duploOn, c.clock, ch.name, ch.got, ch.want)
-				}
-			}
-		}
+	evRes, evCol := collect(t, evCfg, k, interval)
+	deRes, deCol := collect(t, deCfg, k, interval)
+	if evRes.Stats != deRes.Stats {
+		t.Fatalf("%s: clock modes diverged (pre-existing gate)", name)
+	}
 
-		// Interval-by-interval equality across clocks.
-		evIv, deIv := evCol.Intervals(), deCol.Intervals()
-		if len(evIv) != len(deIv) {
-			t.Fatalf("duplo=%v: interval counts differ: %d vs %d", duploOn, len(evIv), len(deIv))
+	for _, c := range []struct {
+		clock string
+		res   Result
+		col   *trace.Collector
+	}{{"event", evRes, evCol}, {"dense", deRes, deCol}} {
+		tot := c.col.Totals()
+		s := c.res.Stats
+		checks := []struct {
+			name      string
+			got, want int64
+		}{
+			{"Instructions", tot.Instructions, s.Instructions},
+			{"TensorLoads", tot.TensorLoads, s.TensorLoads},
+			{"LoadsEliminated", tot.LoadsEliminated, s.LoadsEliminated},
+			{"MMAs", tot.MMAs, s.MMAs},
+			{"Stores", tot.Stores, s.Stores},
+			{"IssueStallCycles", tot.IssueStallCycles, s.IssueStallCycles},
+			{"LDSTStallCycles", tot.LDSTStallCycles, s.LDSTStallCycles},
+			{"MSHRMerges", tot.MSHRMerges, s.MSHRMerges},
+			{"DRAMLines", tot.DRAMLines(), s.DRAMLines},
+			{"ServiceLHB", tot.ServiceLines[trace.LevelLHB], s.ServiceLines[ServiceLHB]},
+			{"ServiceL1", tot.ServiceLines[trace.LevelL1], s.ServiceLines[ServiceL1]},
+			{"ServiceL2", tot.ServiceLines[trace.LevelL2], s.ServiceLines[ServiceL2]},
+			{"ServiceDRAM", tot.ServiceLines[trace.LevelDRAM], s.ServiceLines[ServiceDRAM]},
 		}
-		for i := range evIv {
-			if evIv[i] != deIv[i] {
-				t.Errorf("duplo=%v interval %d diverged across clocks\nevent: %+v\ndense: %+v",
-					duploOn, i, evIv[i], deIv[i])
+		for _, ch := range checks {
+			if ch.got != ch.want {
+				t.Errorf("%s %s clock: interval sum %s = %d, Stats %d",
+					name, c.clock, ch.name, ch.got, ch.want)
 			}
+		}
+	}
+
+	// Interval-by-interval equality across clocks.
+	evIv, deIv := evCol.Intervals(), deCol.Intervals()
+	if len(evIv) != len(deIv) {
+		t.Fatalf("%s: interval counts differ: %d vs %d", name, len(evIv), len(deIv))
+	}
+	for i := range evIv {
+		if evIv[i] != deIv[i] {
+			t.Errorf("%s interval %d diverged across clocks\nevent: %+v\ndense: %+v",
+				name, i, evIv[i], deIv[i])
 		}
 	}
 }

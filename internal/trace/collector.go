@@ -199,7 +199,7 @@ func (c *Collector) Emit(sm int, e Event) {
 	case KindStallSpan:
 		// Apportion the dead span across the intervals it crosses: each
 		// skipped cycle stalled all schedulers, B of them LDST-blocked —
-		// exact arithmetic, same discipline as the dispatcher's Stats
+		// exact arithmetic, same discipline as the simulator's Stats
 		// accounting.
 		start, span := e.Cycle, e.A
 		for span > 0 {

@@ -33,13 +33,13 @@ const (
 	// A is the number of stalled schedulers, B how many of those were
 	// blocked (at least in part) by a full LDST queue (§V-B).
 	KindStall
-	// KindStallSpan: the event-driven clock skipped the dead span
-	// [Cycle, Cycle+A): every scheduler of this SM stalled on each skipped
-	// cycle. A is the span length in cycles, B the per-cycle count of
-	// LDST-blocked schedulers observed at the tick preceding the skip. A
-	// collector must apportion the span's stall cycles arithmetically
-	// across the intervals it crosses (same discipline as the dispatcher's
-	// counter accounting in internal/sim/gpu.go).
+	// KindStallSpan: the event-driven clock skipped this SM's ticks over
+	// the span [Cycle, Cycle+A): every scheduler of this SM stalled on
+	// each skipped cycle. A is the span length in cycles, B the per-cycle
+	// count of LDST-blocked schedulers observed at the tick preceding the
+	// skip. A collector must apportion the span's stall cycles
+	// arithmetically across the intervals it crosses (same discipline as
+	// the SM's counter accounting, smState.settle in internal/sim).
 	KindStallSpan
 	// KindLHBHit: a row-vector load was eliminated by the detection unit —
 	// an LHB hit renamed the destination to the previous load's registers
