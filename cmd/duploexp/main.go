@@ -5,7 +5,7 @@
 //
 //	duploexp -exp all                 # everything
 //	duploexp -exp fig9 -ctas 192      # one experiment, more CTAs
-//	duploexp -exp fig14 -full         # uncapped grids (slow)
+//	duploexp -exp fig14 -ctas 0       # uncapped grids (slow)
 //	duploexp -exp fig9 -workers 8     # bound the simulation worker pool
 //	duploexp -exp fig9 -cpuprofile cpu.pprof
 //	duploexp -exp table2
@@ -22,13 +22,9 @@
 // simulates nothing and is byte-identical to the cold run. The same
 // directory can back a duploserved daemon.
 //
-// -trace-cell "Net/Layer" re-simulates one cell at the same scale with the
-// event tracer attached and writes a Perfetto timeline (-trace) and/or an
-// interval-metrics CSV (-metrics-csv) for it; -trace-duplo=false traces
-// the baseline run instead of Duplo. -exp none skips the experiment tables
-// for trace-only invocations:
-//
-//	duploexp -exp none -trace-cell ResNet/C2 -trace c2.trace.json
+// To trace one cell, run it through duplosim at the same scale:
+// duplosim -net ResNet -layer C2 -trace c2.trace.json writes its Perfetto
+// timeline (internal/trace, DESIGN.md §4).
 //
 // The run degrades gracefully instead of aborting: a failed simulation
 // renders its cells as ERR and the remaining experiments still run, with a
@@ -58,7 +54,8 @@
 // repeated runs and worker counts at a fixed seed). -cluster-timeline
 // writes a Chrome/Perfetto timeline of one serving cell (per-chip batch
 // spans + queue-depth counters) and -cluster-queues its queue-depth CSV;
-// both take the cell from -cluster-load/-cluster-duplo:
+// both take the cell from -cluster-load/-cluster-duplo (-exp none skips
+// the experiment tables):
 //
 //	duploexp -exp cluster -seed 7 -store ~/.cache/duplo
 //	duploexp -exp none -cluster-timeline cluster.json -cluster-load 0.8
@@ -80,33 +77,15 @@ import (
 	"time"
 
 	"duplo/internal/experiments"
-	"duplo/internal/profiling"
-	"duplo/internal/store"
-	"duplo/internal/workload"
 )
 
 var (
-	exp        = flag.String("exp", "all", "experiment id (see package doc), 'all', or 'none'")
-	ctas       = flag.Int("ctas", 96, "max CTAs simulated per kernel")
-	simSMs     = flag.Int("sms", 4, "number of SMs simulated")
-	workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-	full       = flag.Bool("full", false, "simulate full grids (removes the CTA cap; slow)")
-	verbose    = flag.Bool("v", false, "print progress")
-	csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	traceCell  = flag.String("trace-cell", "", `trace one cell "Net/Layer" (e.g. ResNet/C2)`)
-	traceOut   = flag.String("trace", "", "write the traced cell's Perfetto/Chrome timeline to this file")
-	metricsCSV = flag.String("metrics-csv", "", "write the traced cell's per-interval metrics CSV to this file")
-	traceDuplo = flag.Bool("trace-duplo", true, "trace the cell's Duplo run (false = baseline)")
-	interval   = flag.Int64("interval", 10000, "metrics interval in cycles for the traced cell")
-	timeout    = flag.Duration("timeout", 0, "wall-clock deadline for the whole invocation (0 = none); partial tables are flushed")
-	maxCycles  = flag.Int64("max-cycles", 0, "abort any single simulation past this many cycles (0 = simulator default)")
-	crashDir   = flag.String("crash-dir", "", "directory for watchdog/panic crash dumps (default: system temp dir)")
-	storeDir   = flag.String("store", "", "directory of the on-disk result store (warm-starts identical runs; created if missing)")
-	predict    = flag.String("predict", "off", "calibrated analytical fast path: off | predict-all | hybrid (predicted cells are marked '~'; see DESIGN.md §9)")
-	predBound  = flag.Float64("predict-bound", 0.15, "hybrid mode's uncertainty bound: predict only when the family's calibrated MAPE is below this (0 = never predict)")
-	calibPath  = flag.String("calibration", "", "calibration artifact path (default: <store>/calibration/<key>.json when -store is set, else in-memory only)")
+	runOptions = experiments.RunFlags(flag.CommandLine) // the run flags duplosim and duploserved share
+
+	exp     = flag.String("exp", "all", "experiment id (see package doc), 'all', or 'none'")
+	verbose = flag.Bool("v", false, "print progress")
+	csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+	timeout = flag.Duration("timeout", 0, "wall-clock deadline for the whole invocation (0 = none); partial tables are flushed")
 
 	seed         = flag.Int64("seed", 0, "serving cluster RNG seed (0 = default 1); fixed seed => byte-identical cluster tables at any worker count")
 	clusterTL    = flag.String("cluster-timeline", "", "write a Chrome/Perfetto timeline of one cluster serving cell to this file")
@@ -131,9 +110,10 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	stop, err := profiling.Start(*cpuprofile, *memprofile)
+	opts, stop, err := runOptions()
 	if err == nil {
-		err = run(ctx)
+		opts.Context, opts.Seed = ctx, *seed
+		err = run(opts)
 		if e := stop(); err == nil {
 			err = e
 		}
@@ -147,26 +127,10 @@ func main() {
 	}
 }
 
-func run(ctx context.Context) error {
-	mode, err := experiments.ParsePredictorMode(*predict)
-	if err != nil {
-		return err
-	}
-	opts := experiments.Options{MaxCTAs: *ctas, SimSMs: *simSMs, Workers: *workers, Verbose: *verbose,
-		Context: ctx, MaxCycles: *maxCycles, CrashDumpDir: *crashDir,
-		Predictor: mode, PredictBound: *predBound, CalibrationPath: *calibPath, Seed: *seed}
-	if *full {
-		opts.MaxCTAs = 0
-	}
+func run(opts experiments.Options) error {
 	if *verbose {
+		opts.Verbose = true
 		opts.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  "+s) }
-	}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			return err
-		}
-		opts.Store = st
 	}
 	r := experiments.NewRunner(opts)
 
@@ -197,7 +161,7 @@ func run(ctx context.Context) error {
 				fmt.Fprintf(os.Stderr, "[%s took %v]\n", e.ID, time.Since(t0).Round(time.Millisecond))
 			}
 			fmt.Println()
-			if ctx.Err() != nil {
+			if opts.Context.Err() != nil {
 				fmt.Fprintln(os.Stderr, "duploexp: interrupted; partial tables flushed")
 				break
 			}
@@ -205,10 +169,6 @@ func run(ctx context.Context) error {
 		if !found {
 			return fmt.Errorf("%w %q", errUnknownExperiment, *exp)
 		}
-	}
-	if err := traceCellRun(r); err != nil {
-		failed = append(failed, "trace-cell")
-		fmt.Fprintf(os.Stderr, "duploexp: trace-cell: %v\n", err)
 	}
 	if err := clusterCellRun(r); err != nil {
 		failed = append(failed, "cluster-cell")
@@ -227,59 +187,6 @@ func run(ctx context.Context) error {
 	if len(failed) > 0 {
 		return fmt.Errorf("%d of the requested experiments failed: %s", len(failed), strings.Join(failed, ", "))
 	}
-	return nil
-}
-
-// traceCellRun re-simulates the -trace-cell cell with the event collector
-// attached (bypassing the run cache) and writes the requested exports.
-func traceCellRun(r *experiments.Runner) error {
-	if *traceCell == "" {
-		if *traceOut != "" || *metricsCSV != "" {
-			return errors.New("-trace/-metrics-csv need -trace-cell \"Net/Layer\"")
-		}
-		return nil
-	}
-	netName, layerName, ok := strings.Cut(*traceCell, "/")
-	if !ok {
-		return fmt.Errorf("-trace-cell must be \"Net/Layer\", got %q", *traceCell)
-	}
-	l, err := workload.Find(netName, layerName)
-	if err != nil {
-		return err
-	}
-	res, col, err := r.TraceRun(l, *traceDuplo, *interval, 0)
-	if err != nil {
-		return err
-	}
-	write := func(path string, dump func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := dump(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(*traceOut, col.WritePerfetto); err != nil {
-		return err
-	}
-	if err := write(*metricsCSV, col.WriteCSV); err != nil {
-		return err
-	}
-	mode := "duplo"
-	if !*traceDuplo {
-		mode = "baseline"
-	}
-	fmt.Fprintf(os.Stderr, "traced %s (%s): %d cycles, %d intervals", l.FullName(), mode, res.Cycles, len(col.Intervals()))
-	if n := col.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, ", %d events dropped (timeline truncated at the front; interval metrics are exact)", n)
-	}
-	fmt.Fprintln(os.Stderr)
 	return nil
 }
 

@@ -62,28 +62,18 @@ import (
 
 	"duplo/internal/experiments"
 	"duplo/internal/fault"
-	"duplo/internal/profiling"
 	"duplo/internal/server"
 	"duplo/internal/store"
 )
 
 var (
+	runOptions = experiments.RunFlags(flag.CommandLine) // the run flags duploexp and duplosim share
+
 	addr        = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port; the bound address is printed)")
-	storeDir    = flag.String("store", "", "directory of the on-disk result store (strongly recommended; created if missing)")
-	ctas        = flag.Int("ctas", 96, "max CTAs simulated per kernel")
-	simSMs      = flag.Int("sms", 4, "number of SMs simulated")
-	workers     = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	maxCycles   = flag.Int64("max-cycles", 0, "default per-job simulated-cycle budget (0 = simulator default)")
 	wallTimeout = flag.Duration("wall-timeout", 0, "default per-job wall-clock budget (0 = none)")
-	crashDir    = flag.String("crash-dir", "", "directory for watchdog/panic crash dumps (default: system temp dir)")
-	predict     = flag.String("predict", "off", "sweep predictor mode: off | predict-all | hybrid (jobs always run cycle-sim)")
-	predBound   = flag.Float64("predict-bound", 0.15, "hybrid mode: max predicted relative error before falling back to cycle-sim")
-	calibPath   = flag.String("calibration", "", "calibration artifact path (default: <store>/calibration/<key>.json)")
 	gracePeriod = flag.Duration("grace", 5*time.Second, "shutdown grace period for open connections")
 	seed        = flag.Int64("seed", 0, "serving cluster RNG seed for /v1/sweeps/cluster (0 = default 1)")
 	verbose     = flag.Bool("v", false, "log job progress to stderr")
-	cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the daemon to this file on exit")
-	memprofile  = flag.String("memprofile", "", "write a heap profile of the daemon to this file on exit")
 
 	// Operational-robustness knobs (DESIGN.md §12).
 	maxInflight = flag.Int("max-inflight", 16, "max concurrently executing jobs (0 = unbounded)")
@@ -108,9 +98,10 @@ func main() {
 	flag.Parse()
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	stop, err := profiling.Start(*cpuprofile, *memprofile)
+	opts, stop, err := runOptions()
 	if err == nil {
-		err = run(ctx)
+		opts.Context, opts.WallTimeout, opts.Seed = ctx, *wallTimeout, *seed
+		err = run(ctx, opts)
 		if e := stop(); err == nil {
 			err = e
 		}
@@ -121,18 +112,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context) error {
-	mode, err := experiments.ParsePredictorMode(*predict)
-	if err != nil {
-		return err
-	}
-	opts := experiments.Options{
-		MaxCTAs: *ctas, SimSMs: *simSMs, Workers: *workers,
-		MaxCycles: *maxCycles, WallTimeout: *wallTimeout, CrashDumpDir: *crashDir,
-		Predictor: mode, PredictBound: *predBound, CalibrationPath: *calibPath,
-		Seed:    *seed,
-		Context: ctx,
-	}
+func run(ctx context.Context, opts experiments.Options) error {
 	if *verbose {
 		opts.Verbose = true
 		opts.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  "+s) }
@@ -142,6 +122,7 @@ func run(ctx context.Context) error {
 	// injector leaves the production path hook-free.
 	var injector *fault.Injector
 	if *faultSpec != "" {
+		var err error
 		injector, err = fault.Parse(*faultSpec, *faultSeed)
 		if err != nil {
 			return err
@@ -158,11 +139,7 @@ func run(ctx context.Context) error {
 		JobTTL:       *jobTTL,
 		MaxBodyBytes: *maxBody,
 	}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			return err
-		}
+	if st := opts.Store; st != nil {
 		if injector != nil {
 			st.SetFaults(injector)
 		}
@@ -177,8 +154,8 @@ func run(ctx context.Context) error {
 		fmt.Fprintln(os.Stderr, "duploserved: no -store: results die with the process")
 	}
 	jpath := *journalPath
-	if jpath == "" && *storeDir != "" {
-		jpath = filepath.Join(*storeDir, "journal.jsonl")
+	if jpath == "" && opts.Store != nil {
+		jpath = filepath.Join(opts.Store.Dir(), "journal.jsonl")
 	}
 	if jpath != "" && jpath != "none" {
 		jl, err := server.OpenJournal(jpath)

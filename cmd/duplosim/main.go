@@ -10,11 +10,14 @@
 //	duplosim -net ResNet -layer C2 -workers 2      # baseline and Duplo in parallel
 //	duplosim -net ResNet -layer C2 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	duplosim -net ResNet -layer C2 -trace out.trace.json -metrics-csv out.csv
+//	duplosim -net GAN -layer C4 -batch 16 -store ~/.cache/duplo
 //
 // With -workers > 1 (default GOMAXPROCS) the baseline and Duplo
 // simulations run concurrently; output order and values are unchanged.
-// -cpuprofile / -memprofile write pprof profiles of the simulator itself;
-// -dense forces the one-cycle-at-a-time reference clock.
+// -cpuprofile / -memprofile write pprof profiles of the simulator itself.
+// The run flags shared with duploexp and duploserved build the same run
+// config, so a -store shared with them serves the cells they stored. A
+// -batch run is keyed like Fig. 13's batch sweep ("GAN/C4@b16").
 //
 // -trace writes a Perfetto/Chrome trace-event JSON timeline of the traced
 // run (load it at https://ui.perfetto.dev) and -metrics-csv a per-interval
@@ -42,37 +45,25 @@ import (
 
 	duplo "duplo/internal/core"
 	"duplo/internal/experiments"
-	"duplo/internal/profiling"
 	"duplo/internal/sim"
-	"duplo/internal/store"
 	"duplo/internal/trace"
 	"duplo/internal/workload"
 )
 
 var (
+	runOptions = experiments.RunFlags(flag.CommandLine) // the run flags duploexp and duploserved share
+
 	net        = flag.String("net", "ResNet", "network (ResNet, GAN, YOLO)")
 	layer      = flag.String("layer", "C2", "layer name from Table I (C1.., TC1..)")
 	lhb        = flag.Int("lhb", 1024, "LHB entries")
 	ways       = flag.Int("ways", 1, "LHB associativity")
 	oracle     = flag.Bool("oracle", false, "infinite LHB")
-	ctas       = flag.Int("ctas", 96, "max CTAs simulated (0 = full grid)")
-	simSMs     = flag.Int("sms", 4, "SMs simulated")
 	batch      = flag.Int("batch", 0, "override batch size (default Table I's 8)")
-	workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-	dense      = flag.Bool("dense", false, "force the dense (non-cycle-skipping) clock")
-	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceOut   = flag.String("trace", "", "write a Perfetto/Chrome trace-event JSON timeline to this file")
 	metricsCSV = flag.String("metrics-csv", "", "write per-interval time-series metrics CSV to this file")
 	interval   = flag.Int64("interval", 10000, "metrics interval in cycles (for -trace/-metrics-csv)")
 	traceRun   = flag.String("trace-run", "duplo", "which run the tracer observes: base or duplo")
 	timeout    = flag.Duration("timeout", 0, "abort either simulation past this much wall-clock time (0 = none)")
-	maxCycles  = flag.Int64("max-cycles", 0, "abort either simulation past this many cycles (0 = simulator default)")
-	crashDir   = flag.String("crash-dir", "", "directory for watchdog/panic crash dumps (default: system temp dir)")
-	storeDir   = flag.String("store", "", "directory of the on-disk result store (warm-starts identical runs; created if missing)")
-	predict    = flag.String("predict", "off", "calibrated analytical fast path: off | predict-all | hybrid (predicted stats are labeled; see DESIGN.md §9)")
-	predBound  = flag.Float64("predict-bound", 0.15, "hybrid mode's uncertainty bound (0 = never predict)")
-	calibPath  = flag.String("calibration", "", "calibration artifact path (default: <store>/calibration/<key>.json when -store is set, else in-memory only)")
 )
 
 func main() {
@@ -81,9 +72,10 @@ func main() {
 	// the cancellation point. A second signal kills the process outright.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	stop, err := profiling.Start(*cpuprofile, *memprofile)
+	opts, stop, err := runOptions()
 	if err == nil {
-		err = run(ctx)
+		opts.Context, opts.WallTimeout = ctx, *timeout
+		err = run(opts)
 		if e := stop(); err == nil {
 			err = e
 		}
@@ -94,35 +86,24 @@ func main() {
 	}
 }
 
-func run(ctx context.Context) error {
+func run(opts experiments.Options) error {
 	l, err := workload.Find(*net, *layer)
 	if err != nil {
 		return err
 	}
-	if *batch > 0 {
-		l.Params = l.Params.WithBatch(*batch)
-	}
-	k, err := sim.NewConvKernel(l.FullName(), l.GemmParams())
+	k, err := experiments.BatchKernel(l, *batch)
 	if err != nil {
 		return err
 	}
-	mode, err := experiments.ParsePredictorMode(*predict)
-	if err != nil {
-		return err
-	}
-	ropts := experiments.Options{MaxCTAs: *ctas, SimSMs: *simSMs, Workers: *workers, Context: ctx,
-		MaxCycles: *maxCycles, WallTimeout: *timeout, CrashDumpDir: *crashDir,
-		Predictor: mode, PredictBound: *predBound, CalibrationPath: *calibPath}
 	// The runs use the runner's own config, so their keys match the cells
 	// duploexp and duploserved write to a shared -store, and predicted runs
-	// fall inside the calibrated envelope (dense-clock and traced runs fall
-	// outside it and simulate as usual).
-	cfg := ropts.Config()
-	cfg.DenseClock = *dense
+	// fall inside the calibrated envelope (traced runs fall outside it and
+	// simulate as usual).
+	cfg := opts.Config()
 
-	fmt.Printf("%s: %v\n", l.FullName(), l.GemmParams())
+	fmt.Printf("%s: %v\n", l.FullName(), *k.Conv)
 	fmt.Printf("GEMM %dx%dx%d (padded %dx%dx%d), %d CTAs total, simulating %d on %d SMs\n\n",
-		k.M, k.N, k.K, k.MPad, k.NPad, k.KPad, k.TotalCTAs(), min(*ctas, k.TotalCTAs()), cfg.SimSMs)
+		k.M, k.N, k.K, k.MPad, k.NPad, k.KPad, k.TotalCTAs(), min(opts.MaxCTAs, k.TotalCTAs()), cfg.SimSMs)
 
 	dcfg := cfg
 	dcfg.Duplo = true
@@ -146,14 +127,7 @@ func run(ctx context.Context) error {
 	// baseline and Duplo simulations execute concurrently, and -store
 	// warm-starts them from the on-disk result store (a traced run always
 	// executes — the collector must observe a real execution).
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			return err
-		}
-		ropts.Store = st
-	}
-	r := experiments.NewRunner(ropts)
+	r := experiments.NewRunner(opts)
 	var base, dup sim.Result
 	var baseErr, dupErr error
 	var wg sync.WaitGroup

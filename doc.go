@@ -12,7 +12,8 @@
 //     substrates;
 //   - internal/workload, experiments — Table I and every figure/table of
 //     the paper's evaluation;
-//   - cmd/duplosim, cmd/duploexp — the command-line tools;
+//   - cmd/duplosim, cmd/duploexp, cmd/duploserved — the command-line
+//     tools and the HTTP daemon;
 //   - examples/ — runnable walk-throughs.
 //
 // See README.md, DESIGN.md and EXPERIMENTS.md.

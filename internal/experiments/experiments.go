@@ -15,13 +15,14 @@ import (
 	"time"
 
 	duplo "duplo/internal/core"
+	"duplo/internal/predictor"
 	"duplo/internal/sim"
 	"duplo/internal/store"
 	"duplo/internal/workload"
 )
 
-// Options scales experiment cost. The defaults reproduce the shapes at
-// manageable runtime; -full removes the CTA cap.
+// Options scales experiment cost. DefaultOptions reproduces the shapes at
+// manageable runtime; MaxCTAs 0 (-ctas 0) removes the CTA cap.
 type Options struct {
 	// MaxCTAs bounds simulated CTAs per kernel (0 = full grid).
 	MaxCTAs int
@@ -70,8 +71,8 @@ type Options struct {
 	// PredictBound is hybrid mode's uncertainty bound: a family predicts
 	// only when its calibrated MAPE is strictly below this. The zero value
 	// never predicts — hybrid output is then byte-identical to
-	// PredictorOff by construction. (CLI flags default it to the gate
-	// threshold, 0.15.)
+	// PredictorOff by construction. (DefaultOptions, and so the CLI
+	// flags, set it to the gate threshold, predictor.GateMAPE.)
 	PredictBound float64
 	// CalibrationPath overrides where the calibration artifact is
 	// persisted and loaded ("" = <store dir>/calibration/<keyhash>.json
@@ -102,9 +103,11 @@ type SimFaultInjector interface {
 	SimDelay(kernel string) time.Duration
 }
 
-// DefaultOptions returns the standard experiment scale.
+// DefaultOptions returns the standard experiment scale, with the
+// predictor off and hybrid mode's bound at the calibration gate's MAPE.
+// The binaries' flags default to it (RunFlags).
 func DefaultOptions() Options {
-	return Options{MaxCTAs: 96, SimSMs: 4}
+	return Options{MaxCTAs: 96, SimSMs: 4, Predictor: PredictorOff, PredictBound: predictor.GateMAPE}
 }
 
 // QuickOptions returns a reduced scale for benches and smoke tests.

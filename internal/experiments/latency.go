@@ -11,8 +11,12 @@ import (
 // BatchKernel builds the forward GEMM kernel for a layer at an explicit
 // batch size, named so runs land on the same cache/store keys as the
 // Fig. 13 batch sweep ("Net/Layer@b16"): a cluster experiment re-renders
-// warm from a store a fig13 run already filled, and vice versa.
+// warm from a store a fig13 run already filled, and vice versa. Batch 0
+// keeps Table I's batch and is LayerKernel(l), under the layer's own name.
 func BatchKernel(l workload.Layer, batch int) (*sim.Kernel, error) {
+	if batch == 0 {
+		return LayerKernel(l)
+	}
 	lb := l
 	lb.Params = l.Params.WithBatch(batch)
 	k, err := LayerKernel(lb)

@@ -38,8 +38,8 @@ const (
 	PredictHybrid PredictorMode = "hybrid"
 )
 
-// ParsePredictorMode resolves a CLI flag value ("" = off).
-func ParsePredictorMode(s string) (PredictorMode, error) {
+// parsePredictorMode resolves a -predict flag value ("" = off).
+func parsePredictorMode(s string) (PredictorMode, error) {
 	switch PredictorMode(s) {
 	case "", PredictorOff:
 		return PredictorOff, nil

@@ -15,7 +15,6 @@ import (
 	"duplo/internal/report"
 	"duplo/internal/sim"
 	"duplo/internal/store"
-	"duplo/internal/trace"
 	"duplo/internal/workload"
 )
 
@@ -480,33 +479,4 @@ func (r *Runner) duplo(l workload.Layer, lhb duplo.LHBConfig, headline bool) (si
 	cfg.Duplo = true
 	cfg.DetectCfg.LHB = lhb
 	return r.runTier(r.ctx, k, cfg, headline)
-}
-
-// TraceRun simulates one named cell — the layer at this runner's scale,
-// baseline or Duplo (DefaultLHB) — with an event collector attached, and
-// returns the finished collector alongside the result. It deliberately
-// bypasses the run cache: the memoized result of an untraced twin would
-// be byte-identical (tracing never perturbs a run), but the collector
-// must observe an actual execution. interval <= 0 selects
-// trace.DefaultInterval; ringCap <= 0 trace.DefaultRingCap.
-func (r *Runner) TraceRun(l workload.Layer, withDuplo bool, interval int64, ringCap int) (sim.Result, *trace.Collector, error) {
-	k, err := LayerKernel(l)
-	if err != nil {
-		return sim.Result{}, nil, err
-	}
-	cfg := r.opts.config()
-	if withDuplo {
-		cfg.Duplo = true
-		cfg.DetectCfg.LHB = DefaultLHB
-	}
-	meta := cfg.TraceMeta(interval)
-	meta.RingCap = ringCap
-	col := trace.NewCollector(meta)
-	cfg.Tracer = col
-	res, err := sim.Run(cfg, k)
-	if err != nil {
-		return sim.Result{}, nil, err
-	}
-	col.Finish(res.Cycles)
-	return res, col, nil
 }

@@ -51,17 +51,11 @@ func (rq RunRequest) build(opts experiments.Options) (*sim.Kernel, sim.Config, e
 	if err != nil {
 		return nil, sim.Config{}, err
 	}
-	if rq.Batch > 0 {
-		l.Params = l.Params.WithBatch(rq.Batch)
-	}
-	k, err := experiments.LayerKernel(l)
+	// A batch-overridden kernel is named like Fig. 13's sweep, so it has
+	// its own cache/store slot.
+	k, err := experiments.BatchKernel(l, rq.Batch)
 	if err != nil {
 		return nil, sim.Config{}, err
-	}
-	if rq.Batch > 0 {
-		// Batch-overridden kernels get a distinct name, like Fig. 13's
-		// sweep, so they occupy their own cache/store slots.
-		k.Name = fmt.Sprintf("%s@b%d", l.FullName(), rq.Batch)
 	}
 	cfg := opts.Config()
 	if rq.Duplo {

@@ -130,6 +130,24 @@ func TestServerSubmitPollResult(t *testing.T) {
 	}
 }
 
+// TestRunRequestBatchKernel pins job kernel names: a batch override runs
+// the kernel Fig. 13's sweep names, so it shares that sweep's run keys and
+// never another batch's.
+func TestRunRequestBatchKernel(t *testing.T) {
+	for _, tc := range []struct {
+		batch, n int
+		name     string
+	}{{0, 8, "ResNet/C2"}, {16, 16, "ResNet/C2@b16"}} {
+		k, _, err := RunRequest{Network: "ResNet", Layer: "C2", Batch: tc.batch}.build(quickOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.Name != tc.name || k.Conv.N != tc.n {
+			t.Errorf("batch %d: kernel %q at batch %d, want %q at %d", tc.batch, k.Name, k.Conv.N, tc.name, tc.n)
+		}
+	}
+}
+
 // TestServerConcurrentDedup pins the millions-of-users property at n=2:
 // two clients submitting the same cell concurrently produce exactly one
 // simulation — asserted via the runner's exec counter and the store's

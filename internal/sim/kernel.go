@@ -313,31 +313,3 @@ func (k *Kernel) warpOffsets(firstRow, firstCol int) (aOff, bOff, dOff uint64) {
 	dOff = uint64(firstRow*k.NPad+firstCol) * uint64(k.DElemSize)
 	return aOff, bOff, dOff
 }
-
-// TraceWarp decodes the first n instructions of one warp of one CTA — the
-// inspection hook behind cmd/duplotrace. It returns fewer than n when the
-// warp's program is shorter, and an error for out-of-range indices.
-func (k *Kernel) traceWarp(cta, warp, n int) ([]Instr, error) {
-	if cta < 0 || cta >= k.TotalCTAs() {
-		return nil, fmt.Errorf("sim: CTA %d out of range (grid %d)", cta, k.TotalCTAs())
-	}
-	if warp < 0 || warp >= warpsPerCTA {
-		return nil, fmt.Errorf("sim: warp %d out of range (0-%d)", warp, warpsPerCTA-1)
-	}
-	rt, ct, firstRow, firstCol := k.warpShape(cta, warp)
-	prog := k.program(rt, ct)
-	aOff, bOff, dOff := k.warpOffsets(firstRow, firstCol)
-	if n > prog.Len() {
-		n = prog.Len()
-	}
-	out := make([]Instr, 0, n)
-	for i := 0; i < n; i++ {
-		in := prog.At(i)
-		relocateInstr(&in, aOff, bOff, dOff)
-		out = append(out, in)
-	}
-	return out, nil
-}
-
-// TraceWarp is the exported form of traceWarp.
-func TraceWarp(k *Kernel, cta, warp, n int) ([]Instr, error) { return k.traceWarp(cta, warp, n) }

@@ -128,34 +128,6 @@ func TestGemmKernelValidation(t *testing.T) {
 	}
 }
 
-func TestTraceWarp(t *testing.T) {
-	k, _ := NewConvKernel("tr", testLayer)
-	insts, err := TraceWarp(k, 0, 0, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(insts) != 25 {
-		t.Fatalf("got %d instructions", len(insts))
-	}
-	if insts[0].Op != OpLoadA {
-		t.Fatalf("first op %v", insts[0].Op)
-	}
-	if _, err := TraceWarp(k, -1, 0, 1); err == nil {
-		t.Error("negative CTA should fail")
-	}
-	if _, err := TraceWarp(k, 0, 99, 1); err == nil {
-		t.Error("warp out of range should fail")
-	}
-	// n beyond program length truncates.
-	long, err := TraceWarp(k, 0, 0, 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(long) == 0 || len(long) >= 1<<30 {
-		t.Fatalf("truncation failed: %d", len(long))
-	}
-}
-
 func TestSharedVariantStrings(t *testing.T) {
 	for _, v := range []SharedVariant{SharedCOnly, SharedAC, SharedABC} {
 		if v.String() == "?" {
@@ -205,6 +177,9 @@ func TestWarpProgramMemoized(t *testing.T) {
 			}
 			if ref.Len() == 0 {
 				continue
+			}
+			if op := ref.At(0).Op; op != OpLoadA {
+				t.Fatalf("CTA %d warp %d: first op %v, want OpLoadA", cta, w, op)
 			}
 			if rt >= 1 && rt <= warpTileM && ct >= 1 && ct <= warpTileN && got != k.progs[rt][ct] {
 				t.Fatalf("CTA %d warp %d: program not served from the cache", cta, w)

@@ -12,8 +12,8 @@
 // comparison — the hot path does zero tracing work by default.
 //
 // The same vocabulary backs all consumers: the Perfetto timeline, the
-// interval metrics CSV, and cmd/duplotrace's textual event dump — one
-// tracing subsystem, not three (DESIGN.md §4).
+// interval metrics CSV, and the textual trace-ring tail of a crash dump —
+// one tracing subsystem, not three (DESIGN.md §4).
 package trace
 
 import "fmt"
@@ -145,8 +145,8 @@ type Event struct {
 	Warp  int16 // warp slot (KindIssue, KindLHBHit), -1 otherwise
 }
 
-// Format renders the event as one line of the textual dump (the
-// cmd/duplotrace view).
+// Format renders the event as one line of the textual dump (a crash
+// dump's trace-ring tail).
 func Format(sm int, e Event) string {
 	switch e.Kind {
 	case KindIssue:
