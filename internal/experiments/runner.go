@@ -293,14 +293,6 @@ func (r *Runner) Run(k *sim.Kernel, cfg sim.Config) (sim.Result, error) {
 	return r.runTier(r.ctx, k, cfg, false)
 }
 
-// RunHeadline is Run for cells that feed a table's headline ratios: in
-// hybrid mode these always simulate (the safety contract), while
-// predict-all still predicts them (the caller asked for speed over
-// everything inside the gate).
-func (r *Runner) RunHeadline(k *sim.Kernel, cfg sim.Config) (sim.Result, error) {
-	return r.runTier(r.ctx, k, cfg, true)
-}
-
 // RunCtx is the exact-tier Run with an explicit context governing this
 // request's execution: when this request ends up being the one that
 // simulates, ctx (not the runner-wide context) cancels it. Coalesced

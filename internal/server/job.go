@@ -11,6 +11,7 @@ import (
 	duplo "duplo/internal/core"
 	"duplo/internal/experiments"
 	"duplo/internal/sim"
+	"duplo/internal/store"
 	"duplo/internal/workload"
 )
 
@@ -195,12 +196,8 @@ func (s *Server) snapshot(j *job) JobStatus {
 	case stateFailed:
 		js.Error = simProblem(out.(error))
 	case stateDone:
-		res := out.(*sim.Result)
-		js.Result = &RunResult{
-			Stats:         res.Stats,
-			SimulatedCTAs: res.SimulatedCTAs,
-			TotalCTAs:     res.TotalCTAs,
-		}
+		rec := store.RecordOf(*out.(*sim.Result))
+		js.Result = &rec
 	}
 	return js
 }
@@ -210,16 +207,10 @@ type JobStatus struct {
 	ID      string     `json:"id"`
 	Status  string     `json:"status"` // queued | running | done | failed | interrupted
 	Request RunRequest `json:"request"`
-	Result  *RunResult `json:"result,omitempty"`
-	Error   *Problem   `json:"error,omitempty"`
-}
-
-// RunResult is the persisted-shape result: the full Stats block plus CTA
-// accounting (the same subset internal/store writes to disk).
-type RunResult struct {
-	Stats         sim.Stats `json:"stats"`
-	SimulatedCTAs int       `json:"simulated_ctas"`
-	TotalCTAs     int       `json:"total_ctas"`
+	// Result is the persisted shape: the full Stats block plus CTA
+	// accounting, as internal/store writes it to disk.
+	Result *store.Record `json:"result,omitempty"`
+	Error  *Problem      `json:"error,omitempty"`
 }
 
 // handleSubmit accepts a RunRequest, starts the job on the shared runner,

@@ -4,8 +4,8 @@ import "testing"
 
 // BenchmarkClusterEventLoop measures raw DES throughput (events/sec) on a
 // synthetic latency table — no cycle simulation, just the heap, routing,
-// batching, and metrics machinery. scripts/bench.sh records the events/s
-// metric in BENCH_serving.json.
+// batching, and metrics machinery. scripts/benchcheck.sh gates its
+// allocs/op; EXPERIMENTS.md reports its events/s over repeated samples.
 func BenchmarkClusterEventLoop(b *testing.B) {
 	cfg := Config{
 		Chips:        16,

@@ -230,3 +230,47 @@ func TestWarpProgramLazyConcurrentFirstUse(t *testing.T) {
 		}
 	}
 }
+
+// TestHotPathAllocs: once a kernel's warp programs are built, placing a
+// CTA, decoding an instruction (warpProgram.At, then relocateInstr) and
+// splitting a tile access into cache lines (lineSpan) allocate nothing.
+// AllocsPerRun's warm-up call absorbs the program build.
+func TestHotPathAllocs(t *testing.T) {
+	k, err := NewConvKernel("allocs", testLayer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	var stats Stats
+	sm := newSM(cfg, 0, newMemSystem(cfg, &stats), &gpuState{cfg: cfg})
+	check := func(path string, f func()) {
+		t.Helper()
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", path, allocs)
+		}
+	}
+	check("placeCTA", func() {
+		sm.placeCTA(k, 0, 1)
+		// Free the slots again so placement never runs out of capacity.
+		for s := range sm.warps {
+			sm.deactivateSlot(s)
+		}
+		sm.resident = 0
+		delete(sm.ctaWarpsLeft, 0)
+	})
+	w := &sm.warps[0] // a freed slot keeps its program and offsets
+	check("decode", func() {
+		for w.pc = 0; w.pc < w.prog.Len(); w.pc++ {
+			w.curOK = false
+			w.decode()
+		}
+	})
+	lines := make([]uint64, 0, 2*tileRows)
+	check("lineSpan", func() {
+		for pc := 0; pc < w.prog.Len(); pc++ {
+			if in := w.prog.At(pc); in.Op != OpMMA {
+				lines = lineSpan(lines[:0], in, cfg.LineBytes)
+			}
+		}
+	})
+}

@@ -1,90 +1,84 @@
 #!/usr/bin/env bash
-# benchcheck.sh — CI perf-regression gate over the committed benchmark
-# baselines (BENCH_predictor.json, BENCH_serving.json; see scripts/bench.sh,
-# which writes them with commit/date stamps).
+# benchcheck.sh — CI allocation-regression gate over BENCH_allocs.txt.
 #
-# For every benchmark named in the baselines' go_bench arrays that still
-# exists, run it once with -benchmem and compare allocs/op:
+# BENCH_allocs.txt is a header line (commit, date, benchtime) and the raw
+# Benchmark lines of one run of
 #
-#   * allocs/op regression beyond THRESHOLD% (default 25) + SLACK allocs
-#     (default 64, absorbing one-shot lazy-init noise at -benchtime=1x)
-#     FAILS the gate — allocation counts are deterministic, so a jump is a
-#     real hot-path regression, not machine noise;
+#   go test -run '^$' -bench '^(<names>)$' -benchmem -benchtime 1x \
+#     ./internal/sim ./internal/serving
+#
+# where <names> are its benchmarks joined with '|'. The gate reruns that
+# command and compares allocs/op benchmark by benchmark:
+#
+#   * allocs/op above baseline * (1 + THRESHOLD/100) + SLACK FAILS —
+#     allocation counts are deterministic, so a jump is a real hot-path
+#     regression, not machine noise (SLACK absorbs one-shot set-up, such
+#     as the first call's warp-program build at -benchtime 1x);
+#   * a baselined benchmark that prints no result (deleted, renamed or
+#     failing) FAILS;
 #   * ns/op is printed for context but never fails — wall clock on shared
 #     CI runners is advisory only.
 #
-#   THRESHOLD=25 SLACK=64 BENCHTIME=1x scripts/benchcheck.sh
+# To re-record after an intentional change, run the command above and
+# replace BENCH_allocs.txt's Benchmark lines and header with its output
+# and the current commit and date.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-THRESHOLD="${THRESHOLD:-25}"
-SLACK="${SLACK:-64}"
-BENCHTIME="${BENCHTIME:-1x}"
+THRESHOLD=25
+SLACK=64
+BASE=BENCH_allocs.txt
 
-# baseline <file>: the go_bench array as "name allocs/op ns/op" lines
-# (benchmark names are normalized by stripping the -GOMAXPROCS suffix).
-baseline() {
-	grep -o '"Benchmark[^"]*"' "$1" | tr -d '"' | awk '
-		{
-			name = $1; sub(/-[0-9]+$/, "", name)
-			ns = ""; allocs = ""
-			for (i = 1; i < NF; i++) {
-				if ($(i+1) == "ns/op") ns = $i
-				if ($(i+1) == "allocs/op") allocs = $i
-			}
-			if (allocs != "") print name, allocs, ns
-		}'
-}
+names=$(awk '/^Benchmark/ { sub(/-[0-9]+$/, "", $1); print $1 }' "$BASE" | paste -sd'|' -)
+[ -n "$names" ] || { echo "benchcheck: no baselines in $BASE" >&2; exit 1; }
+echo "benchcheck: $BASE (threshold ${THRESHOLD}%+${SLACK}, benchtime 1x)" >&2
 
 FAIL=0
-check_pkg() { # check_pkg <baseline.json> <package>
-	local base="$1" pkg="$2"
-	[ -f "$base" ] || { echo "benchcheck: missing baseline $base" >&2; exit 1; }
-	local names pattern raw
-	names=$(baseline "$base" | awk '{print $1}')
-	[ -n "$names" ] || { echo "benchcheck: no allocs/op baselines in $base (rerun scripts/bench.sh with -benchmem)" >&2; exit 1; }
-	pattern=$(printf '%s$\n' $names | paste -sd'|' -)
-	echo "benchcheck: $pkg vs $base (threshold ${THRESHOLD}%+${SLACK}, benchtime $BENCHTIME)" >&2
-	raw=$(go test -run='^$' -bench="^($pattern)" -benchmem -benchtime="$BENCHTIME" "$pkg" | grep '^Benchmark' || true)
-	[ -n "$raw" ] || { echo "benchcheck: no benchmark output from $pkg" >&2; exit 1; }
-	# Join current against baseline on the normalized name and compare.
-	if ! {
-		baseline "$base" | sed 's/^/base /'
-		printf '%s\n' "$raw" | tr '\t' ' ' | tr -s ' ' | awk '
-			{
-				name = $1; sub(/-[0-9]+$/, "", name)
-				ns = ""; allocs = ""
-				for (i = 1; i < NF; i++) {
-					if ($(i+1) == "ns/op") ns = $i
-					if ($(i+1) == "allocs/op") allocs = $i
-				}
-				if (allocs != "") print "cur", name, allocs, ns
-			}'
-	} | awk -v thr="$THRESHOLD" -v slack="$SLACK" '
-		$1 == "base" { ba[$2] = $3; bns[$2] = $4; next }
-		$1 == "cur" && ($2 in ba) {
-			limit = ba[$2] * (1 + thr / 100) + slack
-			delta = bns[$2] > 0 ? sprintf("%+.0f%%", 100 * ($4 - bns[$2]) / bns[$2]) : "n/a"
-			if ($3 > limit) {
-				printf "FAIL %s allocs/op %s -> %s (limit %.0f); ns/op %s -> %s [%s, advisory]\n",
-					$2, ba[$2], $3, limit, bns[$2], $4, delta
-				bad = 1
-			} else {
-				printf "ok   %s allocs/op %s -> %s; ns/op %s -> %s [%s, advisory]\n",
-					$2, ba[$2], $3, bns[$2], $4, delta
-			}
-		}
-		END { exit bad }
-	'; then
-		FAIL=1
-	fi
-}
+if ! out=$(go test -run '^$' -bench "^($names)\$" -benchmem -benchtime 1x ./internal/sim ./internal/serving 2>&1); then
+	printf '%s\n' "$out" >&2
+	echo "benchcheck: go test failed" >&2
+	FAIL=1
+fi
 
-check_pkg BENCH_predictor.json ./internal/sim/
-check_pkg BENCH_serving.json ./internal/serving/
+# Join the current run against the baseline on the name (less its
+# -GOMAXPROCS suffix), in baseline order.
+if ! printf '%s\n' "$out" | awk -v thr="$THRESHOLD" -v slack="$SLACK" '
+	function parse(   i) {
+		name = $1; sub(/-[0-9]+$/, "", name)
+		ns = ""; allocs = ""
+		for (i = 2; i < NF; i++) {
+			if ($(i+1) == "ns/op") ns = $i
+			if ($(i+1) == "allocs/op") allocs = $i
+		}
+	}
+	FNR == NR { if (/^Benchmark/) { parse(); order[++n] = name; ba[name] = allocs; bns[name] = ns }; next }
+	/^Benchmark/ { parse(); if (allocs != "") { ca[name] = allocs; cns[name] = ns } }
+	END {
+		for (j = 1; j <= n; j++) {
+			name = order[j]
+			if (!(name in ca)) {
+				printf "FAIL %s: no result (baseline allocs/op %s)\n", name, ba[name]
+				bad = 1
+				continue
+			}
+			limit = ba[name] * (1 + thr / 100) + slack
+			delta = bns[name] > 0 ? sprintf("%+.0f%%", 100 * (cns[name] - bns[name]) / bns[name]) : "n/a"
+			verdict = "ok  "
+			if (ca[name] > limit) {
+				verdict = "FAIL"
+				bad = 1
+			}
+			printf "%s %s allocs/op %s -> %s (limit %.0f); ns/op %s -> %s [%s, advisory]\n",
+				verdict, name, ba[name], ca[name], limit, bns[name], cns[name], delta
+		}
+		exit bad
+	}
+' "$BASE" -; then
+	FAIL=1
+fi
 
 if [ "$FAIL" != 0 ]; then
-	echo "benchcheck: allocs/op regressed beyond ${THRESHOLD}%+${SLACK} — if intentional, rerun scripts/bench.sh and commit the new baselines" >&2
+	echo "benchcheck: allocation gate failed — if the change is intended, re-record $BASE (see this script's header)" >&2
 	exit 1
 fi
 echo "benchcheck: all allocation baselines hold" >&2
