@@ -125,7 +125,7 @@ func (d *DetectionUnit) Latency() int { return d.cfg.LatencyCycles }
 // cycle; a later hit returns it so the renamed consumer waits on the
 // original load's scoreboard entry). It returns how the load resolves and
 // advances the load sequence number. The returned sequence number must be
-// passed to Retire when the instruction retires.
+// passed to Retire, with addr, when the instruction retires.
 func (d *DetectionUnit) Access(warp, arch int, addr uint64, meta int64) (AccessResult, uint64) {
 	seq := d.seq
 	d.seq++
@@ -150,8 +150,17 @@ func (d *DetectionUnit) Access(warp, arch int, addr uint64, meta int64) (AccessR
 // the lookup was made.
 func (d *DetectionUnit) SetMeta(id ID, meta int64) { d.lhb.SetMeta(id, meta) }
 
-// Retire releases LHB entries owned by the retiring load (§IV-B).
-func (d *DetectionUnit) Retire(seq uint64) { d.lhb.Retire(seq) }
+// Retire releases the LHB entry owned by the retiring load with sequence
+// number seq, which accessed addr (§IV-B). The ID is regenerated from the
+// address; a load that bypassed the buffer owns no entry.
+func (d *DetectionUnit) Retire(addr, seq uint64) {
+	if !d.awake {
+		return
+	}
+	if id, st := d.gen.IDs(addr); st == StatusOK {
+		d.lhb.Retire(id, seq)
+	}
+}
 
 // Store models a store hitting the workspace region: matching LHB entries
 // are invalidated for consistency (§IV-B).
@@ -169,6 +178,3 @@ func (d *DetectionUnit) LHBStats() LHBStats { return d.lhb.Stats }
 
 // Renames exposes the rename table (for stats and tests).
 func (d *DetectionUnit) Renames() *RenameTable { return d.renames }
-
-// Gen exposes the programmed ID generator (nil before Program).
-func (d *DetectionUnit) Gen() *IDGen { return d.gen }

@@ -120,7 +120,7 @@ func TestDetectionUnitRetireAndStore(t *testing.T) {
 	if r1.Kind != AccessMiss {
 		t.Fatal("expected miss")
 	}
-	du.Retire(seq)
+	du.Retire(addr, seq)
 	r2, _ := du.Access(0, 1, layout.Addr(1, 1), 0) // same element ID (intra-patch dup)
 	if r2.Kind != AccessMiss {
 		t.Fatalf("after retirement the duplicate must miss again: %+v", r2)

@@ -41,7 +41,7 @@ func FuzzDetectionUnitProgram(f *testing.F) {
 		for i := 0; i < 64; i++ {
 			addr := base + uint64(i-8)*uint64(elem)
 			_, seq := du.Access(i%8, i%32, addr, int64(i))
-			du.Retire(seq)
+			du.Retire(addr, seq)
 		}
 		du.Store(base)
 	})

@@ -75,9 +75,6 @@ func (s LHBStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Lookups)
 }
 
-// noEntry terminates the intrusive per-instruction user chains.
-const noEntry = int32(-1)
-
 type lhbEntry struct {
 	valid bool
 	tag   uint64 // elementID upper bits ++ batchID ++ PID (§IV-B)
@@ -88,13 +85,6 @@ type lhbEntry struct {
 	// released when that instruction retires (§IV-B / §V-C).
 	lastUser uint64
 	lru      uint64 // generation counter for set-associative replacement
-	// nextUser links the entries owned by the same lastUser into an
-	// intrusive singly-linked chain (head in LHB.userHead). Chains replace
-	// the per-sequence []int slices the release index used to allocate on
-	// every tracked access — the release relation is exactly the inverse of
-	// lastUser, so it lives inside the slab for free. Chains are short (at
-	// most the rows of one macro-op), so unlink's linear walk is cheap.
-	nextUser int32
 }
 
 // LHB is the load history buffer (Fig. 8): a small SRAM indexed by the low
@@ -104,20 +94,20 @@ type lhbEntry struct {
 // Storage is a single entry slab in both modes. The set-associative mode
 // (hardware design point) uses a fixed sets*ways slab; oracle mode grows the
 // slab on demand and recycles slots through a free list, with a key->slot
-// table standing in for the tag match. Retire-based release walks the
-// intrusive lastUser chain — no per-access heap allocation on any path.
+// table standing in for the tag match. Retire-based release finds the
+// retiring load's entry by its ID, as a lookup does — no per-access heap
+// allocation on any path.
 type LHB struct {
-	cfg      LHBConfig
-	sets     int
-	idxMask  uint32
-	idxBits  uint
-	pid      uint32
-	entries  []lhbEntry // set-assoc: sets*ways fixed; oracle: grown slab
-	oracle   flat.Table // oracle mode: key -> slab slot
-	oFree    []int32    // oracle mode: recycled slab slots
-	userHead flat.Table // instrSeq -> head of its user chain
-	clock    uint64
-	Stats    LHBStats
+	cfg     LHBConfig
+	sets    int
+	idxMask uint32
+	idxBits uint
+	pid     uint32
+	entries []lhbEntry // set-assoc: sets*ways fixed; oracle: grown slab
+	oracle  flat.Table // oracle mode: key -> slab slot
+	oFree   []int32    // oracle mode: recycled slab slots
+	clock   uint64
+	Stats   LHBStats
 }
 
 // NewLHB builds a buffer for the given configuration; PID is the process ID
@@ -138,13 +128,12 @@ func NewLHB(cfg LHBConfig, pid uint32) (*LHB, error) {
 }
 
 // Reset returns the buffer to its just-built state — counters zeroed, every
-// entry invalid, the user chains and oracle storage empty — reusing all
-// backing storage. The arena/pool reuse protocol (sim.Arena) depends on a
-// reset buffer behaving byte-identically to a fresh NewLHB.
+// entry invalid, the oracle storage empty — reusing all backing storage.
+// The arena/pool reuse protocol (sim.Arena) depends on a reset buffer
+// behaving byte-identically to a fresh NewLHB.
 func (l *LHB) Reset() {
 	l.Stats = LHBStats{}
 	l.clock = 0
-	l.userHead.Reset()
 	if l.cfg.Oracle {
 		l.entries = l.entries[:0]
 		l.oFree = l.oFree[:0]
@@ -154,12 +143,6 @@ func (l *LHB) Reset() {
 	for i := range l.entries {
 		l.entries[i] = lhbEntry{}
 	}
-}
-
-// key packs the full identity (element ID, batch ID, PID) for oracle mode
-// and tag comparison.
-func (l *LHB) key(id ID) uint64 {
-	return uint64(id.Elem) | uint64(id.Batch)<<32 | uint64(l.pid)<<42
 }
 
 // index hashes the element ID into a set index (§IV-B: the low element-ID
@@ -177,55 +160,12 @@ func (l *LHB) index(id ID) int {
 	return int(h & l.idxMask)
 }
 
-// tag stores the full identity (element ID, batch ID, PID). With hashed
-// indexing the index bits are not removable from the tag; the hardware cost
-// is idxBits extra tag bits versus the paper's 22+10 split, accounted in
-// the area model.
+// tag packs the full identity (element ID, batch ID, PID), which is also
+// oracle mode's key. With hashed indexing the index bits are not removable
+// from the tag; the hardware cost is idxBits extra tag bits versus the
+// paper's 22+10 split, accounted in the area model.
 func (l *LHB) tag(id ID) uint64 {
 	return uint64(id.Elem) | uint64(id.Batch)<<32 | uint64(l.pid)<<42
-}
-
-// pushUser prepends slab slot i to instrSeq's user chain.
-func (l *LHB) pushUser(instrSeq uint64, i int32) {
-	if head, ok := l.userHead.Get(instrSeq); ok {
-		l.entries[i].nextUser = int32(head)
-	} else {
-		l.entries[i].nextUser = noEntry
-	}
-	l.userHead.Set(instrSeq, int64(i))
-}
-
-// unlinkUser removes slab slot i from its lastUser chain. Chains hold the
-// few rows of one instruction, so the predecessor walk is short.
-func (l *LHB) unlinkUser(i int32) {
-	e := &l.entries[i]
-	h, _ := l.userHead.Get(e.lastUser)
-	head := int32(h)
-	if head == i {
-		if e.nextUser == noEntry {
-			l.userHead.Delete(e.lastUser)
-		} else {
-			l.userHead.Set(e.lastUser, int64(e.nextUser))
-		}
-		return
-	}
-	p := head
-	for l.entries[p].nextUser != i {
-		p = l.entries[p].nextUser
-	}
-	l.entries[p].nextUser = e.nextUser
-}
-
-// moveUser re-homes slab slot i from its previous lastUser chain to
-// instrSeq (the relay of §IV-B).
-func (l *LHB) moveUser(i int32, instrSeq uint64) {
-	e := &l.entries[i]
-	if e.lastUser == instrSeq {
-		return
-	}
-	l.unlinkUser(i)
-	e.lastUser = instrSeq
-	l.pushUser(instrSeq, i)
 }
 
 // Lookup consults the buffer for id on behalf of the tensor-core-load with
@@ -235,34 +175,36 @@ func (l *LHB) moveUser(i int32, instrSeq uint64) {
 func (l *LHB) Lookup(id ID, instrSeq uint64) (PhysReg, int64, bool) {
 	l.Stats.Lookups++
 	l.clock++
-	if l.cfg.Oracle {
-		slot, ok := l.oracle.Get(l.key(id))
-		if !ok {
-			l.Stats.Misses++
-			return InvalidReg, 0, false
-		}
-		i := int32(slot)
+	if i := l.find(id); i >= 0 {
+		e := &l.entries[i]
 		l.Stats.Hits++
 		l.Stats.Relays++
-		l.moveUser(i, instrSeq)
-		e := &l.entries[i]
+		e.lastUser = instrSeq
+		e.lru = l.clock
 		return e.reg, e.meta, true
-	}
-	set := l.index(id)
-	t := l.tag(id)
-	for w := 0; w < l.cfg.Ways; w++ {
-		i := int32(set*l.cfg.Ways + w)
-		e := &l.entries[i]
-		if e.valid && e.tag == t {
-			l.Stats.Hits++
-			l.Stats.Relays++
-			l.moveUser(i, instrSeq)
-			e.lru = l.clock
-			return e.reg, e.meta, true
-		}
 	}
 	l.Stats.Misses++
 	return InvalidReg, 0, false
+}
+
+// find returns the slab index of the valid entry mapping id, or -1. The
+// detection unit inserts only after a Lookup miss, so at most one way of a
+// set holds a given tag.
+func (l *LHB) find(id ID) int {
+	t := l.tag(id)
+	if l.cfg.Oracle {
+		if slot, ok := l.oracle.Get(t); ok {
+			return int(slot)
+		}
+		return -1
+	}
+	s := l.index(id) * l.cfg.Ways
+	for i := s; i < s+l.cfg.Ways; i++ {
+		if e := &l.entries[i]; e.valid && e.tag == t {
+			return i
+		}
+	}
+	return -1
 }
 
 // Insert allocates an entry mapping id to reg, owned by instrSeq, carrying
@@ -273,11 +215,10 @@ func (l *LHB) Insert(id ID, reg PhysReg, instrSeq uint64, meta int64) {
 	l.Stats.Allocs++
 	l.clock++
 	if l.cfg.Oracle {
-		k := l.key(id)
+		k := l.tag(id)
 		var i int32
 		if old, ok := l.oracle.Get(k); ok {
 			i = int32(old)
-			l.unlinkUser(i)
 		} else if n := len(l.oFree); n > 0 {
 			i = l.oFree[n-1]
 			l.oFree = l.oFree[:n-1]
@@ -287,7 +228,6 @@ func (l *LHB) Insert(id ID, reg PhysReg, instrSeq uint64, meta int64) {
 		}
 		l.entries[i] = lhbEntry{valid: true, tag: k, reg: reg, meta: meta, lastUser: instrSeq}
 		l.oracle.Set(k, int64(i))
-		l.pushUser(instrSeq, i)
 		return
 	}
 	set := l.index(id)
@@ -309,66 +249,43 @@ func (l *LHB) Insert(id ID, reg PhysReg, instrSeq uint64, meta int64) {
 	e := &l.entries[victim]
 	if e.valid {
 		l.Stats.Replacements++
-		l.unlinkUser(victim)
 	}
 	*e = lhbEntry{valid: true, tag: t, reg: reg, meta: meta, lastUser: instrSeq, lru: l.clock}
-	l.pushUser(instrSeq, victim)
 }
 
-// Retire signals that the tensor-core-load with sequence number instrSeq has
-// retired. Entries whose lastUser is that instruction are released, because
-// the destination register may now be overwritten (§IV-B). NeverEvict
-// configurations skip the release (ablation only).
-func (l *LHB) Retire(instrSeq uint64) {
+// Retire signals that the tensor-core-load with sequence number instrSeq,
+// which accessed id, has retired. The entry mapping id is released if
+// instrSeq is still its last user, because the destination register may now
+// be overwritten (§IV-B). Every access touches exactly one entry (a hit
+// relays it, a miss inserts it), so this is the only entry instrSeq can
+// own. NeverEvict configurations skip the release (ablation only).
+func (l *LHB) Retire(id ID, instrSeq uint64) {
 	if l.cfg.NeverEvict {
 		return
 	}
-	head, ok := l.userHead.Get(instrSeq)
-	if !ok {
-		return
-	}
-	// Every chain member has lastUser == instrSeq by the unlink discipline
-	// (Insert/Lookup/StoreInvalidate re-home or unlink entries eagerly).
-	for i := int32(head); i != noEntry; {
-		e := &l.entries[i]
-		next := e.nextUser
-		e.valid = false
-		if l.cfg.Oracle {
-			l.oracle.Delete(e.tag)
-			l.oFree = append(l.oFree, i)
-		}
+	if i := l.find(id); i >= 0 && l.entries[i].lastUser == instrSeq {
+		l.release(i)
 		l.Stats.Releases++
-		i = next
 	}
-	l.userHead.Delete(instrSeq)
 }
 
 // StoreInvalidate releases the entry matching id, if any — the consistency
 // hook for stores into the workspace (§IV-B; "such a case was never
 // observed in our experiments", and the simulator asserts the same).
 func (l *LHB) StoreInvalidate(id ID) {
-	if l.cfg.Oracle {
-		k := l.key(id)
-		if slot, ok := l.oracle.Get(k); ok {
-			i := int32(slot)
-			l.unlinkUser(i)
-			l.oracle.Delete(k)
-			l.entries[i].valid = false
-			l.oFree = append(l.oFree, i)
-			l.Stats.StoreEvicts++
-		}
-		return
+	if i := l.find(id); i >= 0 {
+		l.release(i)
+		l.Stats.StoreEvicts++
 	}
-	set := l.index(id)
-	t := l.tag(id)
-	for w := 0; w < l.cfg.Ways; w++ {
-		i := int32(set*l.cfg.Ways + w)
-		e := &l.entries[i]
-		if e.valid && e.tag == t {
-			l.unlinkUser(i)
-			e.valid = false
-			l.Stats.StoreEvicts++
-		}
+}
+
+// release invalidates slab entry i; oracle mode also drops its tag and
+// recycles the slot.
+func (l *LHB) release(i int) {
+	l.entries[i].valid = false
+	if l.cfg.Oracle {
+		l.oracle.Delete(l.entries[i].tag)
+		l.oFree = append(l.oFree, int32(i))
 	}
 }
 
@@ -391,18 +308,7 @@ func (l *LHB) Config() LHBConfig { return l.cfg }
 
 // SetMeta updates the metadata of the live entry mapping id, if present.
 func (l *LHB) SetMeta(id ID, meta int64) {
-	if l.cfg.Oracle {
-		if i, ok := l.oracle.Get(l.key(id)); ok {
-			l.entries[i].meta = meta
-		}
-		return
-	}
-	set := l.index(id)
-	t := l.tag(id)
-	for w := 0; w < l.cfg.Ways; w++ {
-		e := &l.entries[set*l.cfg.Ways+w]
-		if e.valid && e.tag == t {
-			e.meta = meta
-		}
+	if i := l.find(id); i >= 0 {
+		l.entries[i].meta = meta
 	}
 }

@@ -116,8 +116,8 @@ func TestQuickLHBInsertLookupRetire(t *testing.T) {
 		if !hit || reg != 7 || meta != 42 {
 			return false
 		}
-		l.Retire(1)
-		l.Retire(2)
+		l.Retire(id, 1)
+		l.Retire(id, 2)
 		_, _, hit = l.Lookup(id, 3)
 		return !hit
 	}

@@ -1,10 +1,6 @@
 package duplo
 
-import (
-	"fmt"
-
-	"duplo/internal/flat"
-)
+import "fmt"
 
 // RenameTable implements warp-granular register renaming, adopted from the
 // WIR scheme of Kim et al. [15] (§IV-B, Fig. 7). Each (warp, architectural
@@ -20,9 +16,6 @@ type RenameTable struct {
 	archRegs int
 	table    []PhysReg // warps x archRegs
 	next     PhysReg
-	// refs counts how many (warp, arch) slots point at each physical
-	// register group, to measure sharing (register-file savings).
-	refs flat.Table
 
 	Renames uint64 // duplicate-induced renames (LHB hits)
 	Allocs  uint64 // fresh allocations (LHB misses / non-workspace loads)
@@ -55,12 +48,9 @@ func (t *RenameTable) slot(warp, arch int) int {
 // Alloc assigns a fresh physical register group to (warp, arch) — the miss
 // path, where the load actually fetches data.
 func (t *RenameTable) Alloc(warp, arch int) PhysReg {
-	s := t.slot(warp, arch)
-	t.release(t.table[s])
 	r := t.next
 	t.next++
-	t.table[s] = r
-	t.refs.Set(uint64(r), 1)
+	t.table[t.slot(warp, arch)] = r
 	t.Allocs++
 	return r
 }
@@ -72,11 +62,7 @@ func (t *RenameTable) RenameTo(warp, arch int, r PhysReg) {
 	if r == InvalidReg {
 		panic("duplo: rename to invalid register")
 	}
-	s := t.slot(warp, arch)
-	t.release(t.table[s])
-	t.table[s] = r
-	n, _ := t.refs.Get(uint64(r))
-	t.refs.Set(uint64(r), n+1)
+	t.table[t.slot(warp, arch)] = r
 	t.Renames++
 }
 
@@ -84,36 +70,38 @@ func (t *RenameTable) RenameTo(warp, arch int, r PhysReg) {
 // InvalidReg if never written.
 func (t *RenameTable) Lookup(warp, arch int) PhysReg { return t.table[t.slot(warp, arch)] }
 
-// SharedWith returns how many rename slots currently reference r.
+// SharedWith returns how many rename slots currently reference r (a scan
+// of the table: only tests ask).
 func (t *RenameTable) SharedWith(r PhysReg) int {
-	n, _ := t.refs.Get(uint64(r))
-	return int(n)
+	n := 0
+	for _, p := range t.table {
+		if p == r {
+			n++
+		}
+	}
+	return n
 }
 
 // LivePhysRegs returns the number of distinct physical register groups
 // currently referenced — the register-file occupancy a duplicate-sharing
-// scheme saves compared to Allocs.
-func (t *RenameTable) LivePhysRegs() int { return t.refs.Len() }
+// scheme saves compared to Allocs (a scan of the table: only tests ask).
+func (t *RenameTable) LivePhysRegs() int {
+	live := map[PhysReg]bool{}
+	for _, p := range t.table {
+		if p != InvalidReg {
+			live[p] = true
+		}
+	}
+	return len(live)
+}
 
 // Reset returns the table to its just-built state, reusing the backing
-// array and the refs table (sim.Arena reuse protocol).
+// array (sim.Arena reuse protocol).
 func (t *RenameTable) Reset() {
 	for i := range t.table {
 		t.table[i] = InvalidReg
 	}
-	t.refs.Reset()
 	t.next = 0
 	t.Renames = 0
 	t.Allocs = 0
-}
-
-func (t *RenameTable) release(r PhysReg) {
-	if r == InvalidReg {
-		return
-	}
-	if n, _ := t.refs.Get(uint64(r)); n > 1 {
-		t.refs.Set(uint64(r), n-1)
-	} else {
-		t.refs.Delete(uint64(r))
-	}
 }

@@ -292,7 +292,7 @@ func BenchmarkDetectionUnitAccess(b *testing.B) {
 		addr := k.Layout.Addr(i%k.M, (i*16)%k.K)
 		res, seq := du.Access(i%64, i%32, addr, 0)
 		if i%7 == 0 {
-			du.Retire(seq)
+			du.Retire(addr, seq)
 		}
 		_ = res
 	}

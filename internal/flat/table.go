@@ -1,11 +1,10 @@
 // Package flat provides Table, the open-addressed uint64-keyed hash table
-// behind the simulator's hot lookups: the L1 MSHR file (internal/sim), the
-// LHB's per-instruction user chains and oracle tag store, and the rename
-// table's sharing counts (internal/core). Each is a map from a 64-bit key
-// to one small integer that the cycle loop consults on every memory
-// instruction; a flat slot array probes in place where a Go map hashes
-// through its runtime, and Reset keeps the storage for the next run
-// (sim.Arena's reuse contract).
+// behind the simulator's hot lookups: the L1 MSHR file (internal/sim) and
+// the oracle LHB's tag store (internal/core). Each is a map from a 64-bit
+// key to one small integer that the cycle loop consults on every memory
+// access; a flat slot array probes in place where a Go map hashes through
+// its runtime, and Reset keeps the storage for the next run (sim.Arena's
+// reuse contract).
 package flat
 
 import "math/bits"

@@ -1,6 +1,9 @@
 package sim
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // cacheArray is a functional set-associative tag array with LRU
 // replacement. Timing is handled by the callers (latency constants and port
@@ -9,10 +12,16 @@ type cacheArray struct {
 	sets      int
 	ways      int
 	lineShift uint
-	tags      []uint64 // sets*ways, set-major; tag = line address
-	valid     []bool
-	lru       []int64
+	lines     []cacheWay // sets*ways, set-major
 	clock     int64
+}
+
+// cacheWay is one way of a set: the line address it holds and the clock of
+// its last access, 0 when the way is invalid. No line is ever invalidated
+// on its own, so the valid ways of a set are a prefix of it.
+type cacheWay struct {
+	tag uint64
+	lru int64
 }
 
 // cacheGeometry is the derived shape of a cacheArray — split out so the
@@ -53,9 +62,7 @@ func newCacheArray(capacityBytes, lineBytes, ways int) *cacheArray {
 		sets:      g.sets,
 		ways:      g.ways,
 		lineShift: g.lineShift,
-		tags:      make([]uint64, g.sets*g.ways),
-		valid:     make([]bool, g.sets*g.ways),
-		lru:       make([]int64, g.sets*g.ways),
+		lines:     make([]cacheWay, g.sets*g.ways),
 	}
 }
 
@@ -63,43 +70,31 @@ func (c *cacheArray) set(lineAddr uint64) int {
 	return int((lineAddr >> c.lineShift) & uint64(c.sets-1))
 }
 
-// Lookup probes for lineAddr, updating LRU on hit.
-func (c *cacheArray) Lookup(lineAddr uint64) bool {
+// Access looks lineAddr up in one walk of its set: a hit refreshes the
+// way's LRU stamp, and a miss fills the line into the set's first invalid
+// way or else evicts the least recently used one. It reports the hit.
+func (c *cacheArray) Access(lineAddr uint64) bool {
 	c.clock++
 	s := c.set(lineAddr) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[s+w] && c.tags[s+w] == lineAddr {
-			c.lru[s+w] = c.clock
-			return true
-		}
-	}
-	return false
-}
-
-// Insert fills lineAddr, evicting the LRU way if needed.
-func (c *cacheArray) Insert(lineAddr uint64) {
-	c.clock++
-	s := c.set(lineAddr) * c.ways
-	victim := s
-	oldest := int64(1) << 62
-	for w := 0; w < c.ways; w++ {
-		i := s + w
-		if !c.valid[i] {
-			victim = i
+	set := c.lines[s : s+c.ways]
+	victim, oldest := 0, int64(math.MaxInt64)
+	for i := range set {
+		w := &set[i]
+		if w.lru == 0 {
+			victim = i // the valid prefix ends here: a miss
 			break
 		}
-		if c.lru[i] < oldest {
-			oldest = c.lru[i]
-			victim = i
+		if w.tag == lineAddr {
+			w.lru = c.clock
+			return true
+		}
+		if w.lru < oldest {
+			victim, oldest = i, w.lru
 		}
 	}
-	c.tags[victim] = lineAddr
-	c.valid[victim] = true
-	c.lru[victim] = c.clock
+	set[victim] = cacheWay{tag: lineAddr, lru: c.clock}
+	return false
 }
-
-// Capacity returns sets*ways lines.
-func (c *cacheArray) Capacity() int { return c.sets * c.ways }
 
 // memSystem is the shared part of the hierarchy: the L2 slice and the
 // DRAM bandwidth model behind it. Per-SM L1s live in smState.
@@ -136,7 +131,7 @@ func newMemSystem(cfg Config, stats *Stats) *memSystem {
 // fill cycle and the level that supplied the data.
 func (m *memSystem) readLine(lineAddr uint64, t int64) (int64, ServiceLevel) {
 	m.stats.L2Accesses++
-	if m.l2.Lookup(lineAddr) {
+	if m.l2.Access(lineAddr) {
 		m.stats.L2Hits++
 		return t + int64(m.cfg.L2LatencyCycles), ServiceL2
 	}
@@ -151,7 +146,6 @@ func (m *memSystem) readLine(lineAddr uint64, t int64) (int64, ServiceLevel) {
 	m.dramFree = start + whole
 	fill := start + int64(m.cfg.DRAMLatencyCycles) + whole
 	m.stats.DRAMLines++
-	m.l2.Insert(lineAddr)
 	return fill, ServiceDRAM
 }
 

@@ -150,6 +150,64 @@ func TestEventClockSkips(t *testing.T) {
 	}
 }
 
+// TestDueCyclesMatchScan ticks one SM of a quick cell (ResNet/C2, 12 CTAs,
+// the 2-SM slice's memory system) cycle by cycle, Duplo off and on, and
+// after every tick requires retireDue and ldstDue to equal a full scan of
+// the live warps' ROB heads and of ldstBusy. The clock differential cannot
+// catch a wrong gate, because both clocks run the same tick.
+func TestDueCyclesMatchScan(t *testing.T) {
+	l, err := workload.Find("ResNet", "C2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := NewConvKernel(l.FullName(), l.GemmParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, on := range []bool{false, true} {
+		cfg := TitanVConfig()
+		cfg.SimSMs, cfg.MaxCTAs, cfg.Duplo = 2, 12, on
+		var stats Stats
+		g := &gpuState{cfg: cfg, kernel: k, mem: newMemSystem(cfg, &stats),
+			totalCTAs: min(k.TotalCTAs(), cfg.MaxCTAs), ctasPerSM: k.CTAsPerSM(cfg)}
+		sm := newSM(cfg, 0, g.mem, g)
+		if on {
+			if sm.du, err = duplo.NewDetectionUnit(cfg.DetectCfg, cfg.MaxWarpsPerSM, 32); err != nil {
+				t.Fatal(err)
+			}
+			if err := sm.du.Program(*k.Conv, k.Layout); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g.sms = []*smState{sm}
+		g.dispatchTo(sm)
+		now := int64(0)
+		for ; sm.busy(); now++ {
+			if now > 1<<24 {
+				t.Fatalf("duplo=%v: still busy at cycle %d", on, now)
+			}
+			sm.tick(now)
+			retire, ldst := farFuture, farFuture
+			for s := range sm.warps {
+				if w := &sm.warps[s]; w.active && !w.robEmpty() {
+					retire = min(retire, w.rob[w.robHead].complete)
+				}
+			}
+			for _, c := range sm.ldstBusy {
+				ldst = min(ldst, c)
+			}
+			if sm.retireDue != retire || sm.ldstDue != ldst {
+				t.Fatalf("duplo=%v, cycle %d: retireDue %d, ldstDue %d; a full scan gives %d, %d",
+					on, now, sm.retireDue, sm.ldstDue, retire, ldst)
+			}
+		}
+		if g.nextCTA != g.totalCTAs || (on && sm.stats.LoadsEliminated == 0) {
+			t.Fatalf("duplo=%v: ran %d of %d CTAs in %d cycles, %d loads eliminated",
+				on, g.nextCTA, g.totalCTAs, now, sm.stats.LoadsEliminated)
+		}
+	}
+}
+
 // TestNextWakeNeverInPast: a fully-stalled SM's nextWake must always be in
 // the future (> now), whatever stale state it holds — the infinite-loop /
 // clock-reversal guard of the event-driven dispatcher.
@@ -188,13 +246,14 @@ func TestNextWakeNeverInPast(t *testing.T) {
 	}
 	check("stale regReady")
 
-	// Stale queue, ROB, LHB-release and L1-port events, all before now.
-	sm.ldstBusy = append(sm.ldstBusy, now-10)
+	// Stale queue, ROB, LHB-release and L1-port events, all before now,
+	// pushed through the helpers that maintain ldstDue and retireDue.
+	sm.ldstPush(now - 10)
 	check("stale ldstBusy")
 	for s := range sm.warps {
 		w := &sm.warps[s]
 		if w.active {
-			w.robPush(robEntry{complete: now - 30})
+			sm.robPush(w, robEntry{complete: now - 30})
 			break
 		}
 	}

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"duplo/internal/conv"
+	duplo "duplo/internal/core"
 	"duplo/internal/workload"
 )
 
@@ -232,9 +234,10 @@ func TestWarpProgramLazyConcurrentFirstUse(t *testing.T) {
 }
 
 // TestHotPathAllocs: once a kernel's warp programs are built, placing a
-// CTA, decoding an instruction (warpProgram.At, then relocateInstr) and
-// splitting a tile access into cache lines (lineSpan) allocate nothing.
-// AllocsPerRun's warm-up call absorbs the program build.
+// CTA, decoding an instruction (warpProgram.At, then relocateInstr),
+// splitting a tile access into cache lines (lineSpan), a cache access, and
+// a Duplo row access plus its retire allocate nothing. AllocsPerRun's
+// warm-up call absorbs the program build and the oracle's first growth.
 func TestHotPathAllocs(t *testing.T) {
 	k, err := NewConvKernel("allocs", testLayer)
 	if err != nil {
@@ -273,4 +276,31 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 		}
 	})
+	check("cacheArray.Access", func() {
+		for line := uint64(0); line < 4096; line++ {
+			sm.l1.Access(line * 128)
+		}
+	})
+	load := w.prog.At(0) // an A-tile load inside the workspace
+	for _, lhb := range []duplo.LHBConfig{duplo.DefaultLHBConfig(), {Oracle: true}} {
+		du, err := duplo.NewDetectionUnit(duplo.DetectionUnitConfig{LHB: lhb}, cfg.MaxWarpsPerSM, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := du.Program(*k.Conv, k.Layout); err != nil {
+			t.Fatal(err)
+		}
+		if res, seq := du.Access(0, 0, load.Addr, 0); res.Kind != duplo.AccessMiss {
+			t.Fatalf("%+v: first access to %#x is %v, want a miss", lhb, load.Addr, res.Kind)
+		} else {
+			du.Retire(load.Addr, seq)
+		}
+		check(fmt.Sprintf("duplo access+retire (%+v)", lhb), func() {
+			for r := uint64(0); r < tileRows; r++ {
+				addr := load.Addr + r*uint64(load.RowPitch)
+				_, seq := du.Access(0, 0, addr, 0)
+				du.Retire(addr, seq)
+			}
+		})
+	}
 }

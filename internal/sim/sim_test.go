@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"duplo/internal/conv"
@@ -165,24 +166,65 @@ func TestLineSpan(t *testing.T) {
 	}
 }
 
+// TestCacheArrayLRU pins replacement on a hand-made 2-set, 2-way case,
+// then replays random line streams over several geometries — direct-mapped,
+// 8 ways, the L2's 24 ways, and a single set — against a per-set recency
+// list, with the array reset between streams as sim.Arena resets it.
 func TestCacheArrayLRU(t *testing.T) {
 	c := newCacheArray(4*128, 128, 2)                  // 2 sets x 2 ways
 	a, b, d := uint64(0), uint64(2*128), uint64(4*128) // same set (stride 2 lines)
-	if c.Lookup(a) {
-		t.Fatal("cold miss expected")
+	if c.Access(a) || c.Access(b) {
+		t.Fatal("cold misses expected")
 	}
-	c.Insert(a)
-	c.Insert(b)
-	if !c.Lookup(a) || !c.Lookup(b) {
+	if !c.Access(a) || !c.Access(b) {
 		t.Fatal("both ways should hit")
 	}
-	c.Lookup(a) // make b the LRU
-	c.Insert(d) // evicts b
-	if c.Lookup(b) {
-		t.Fatal("LRU way should have been evicted")
+	c.Access(a) // make b the LRU
+	if c.Access(d) {
+		t.Fatal("d should miss, evicting b")
 	}
-	if !c.Lookup(a) || !c.Lookup(d) {
+	if !c.Access(a) || !c.Access(d) {
 		t.Fatal("a and d should be resident")
+	}
+	if c.Access(b) {
+		t.Fatal("LRU way (b) should have been evicted")
+	}
+
+	geometries := []struct{ capacity, ways int }{
+		{16 * 128, 1},      // direct-mapped, 16 sets
+		{64 * 128, 8},      // 8 sets
+		{24 * 8 * 128, 24}, // 8 sets of the L2's 24 ways
+		{24 * 128, 24},     // a single set
+		{4 * 128, 4},       // a single small set
+	}
+	r := rand.New(rand.NewSource(1))
+	for _, g := range geometries {
+		c := newCacheArray(g.capacity, 128, g.ways)
+		for stream := 0; stream < 3; stream++ {
+			c.reset()
+			recency := make([][]uint64, c.sets) // per set, least recent first
+			span := 2*c.sets*c.ways + 3
+			for i := 0; i < 5000; i++ {
+				line := uint64(r.Intn(span)) * 128
+				set := &recency[(line/128)%uint64(c.sets)]
+				want := false
+				for j, l := range *set {
+					if l == line {
+						want = true
+						*set = append((*set)[:j], (*set)[j+1:]...)
+						break
+					}
+				}
+				if !want && len(*set) == c.ways {
+					*set = (*set)[1:]
+				}
+				*set = append(*set, line)
+				if got := c.Access(line); got != want {
+					t.Fatalf("%d lines x %d ways, stream %d, access %d (line %#x): hit %v, want %v",
+						g.capacity/128, g.ways, stream, i, line, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -8,23 +8,30 @@ import (
 	"duplo/internal/trace"
 )
 
-// lhbReleaseEvt schedules the release of a retired load's LHB entries.
-type lhbReleaseEvt struct {
-	at    int64
-	seqLo uint64
-	seqHi uint64
+// tcLoad names the row-vector loads of one tracked tensor-core load (each
+// wmma.load macro-op issues tileRows row loads, §II-B: "a
+// tensor-core-load instruction fetches 16 half-precision data, e.g. a row
+// of matrix A"): row r has detection-unit sequence number seq+r and address
+// addr + r*pitch, from which the unit regenerates the ID of the one LHB
+// entry the row can own.
+type tcLoad struct {
+	seq   uint64
+	addr  uint64
+	pitch uint32
 }
 
-// robEntry tracks one in-flight instruction for in-order retirement. For
-// tensor-core loads, [seqLo, seqHi) is the range of detection-unit sequence
-// numbers of the instruction's row-vector loads (each wmma.load macro-op
-// issues 16 row loads, §II-B: "a tensor-core-load instruction fetches 16
-// half-precision data, e.g. a row of matrix A").
+// lhbReleaseEvt schedules the release of a retired load's LHB entries.
+type lhbReleaseEvt struct {
+	at int64
+	tcLoad
+}
+
+// robEntry tracks one in-flight instruction for in-order retirement;
+// tracked marks a tensor-core load whose rows consulted the LHB.
 type robEntry struct {
 	complete int64
-	isTCLoad bool
-	seqLo    uint64
-	seqHi    uint64
+	tracked  bool
+	tcLoad
 }
 
 // warpCtx is the execution state of one warp slot. prog is the kernel's
@@ -60,8 +67,6 @@ func (w *warpCtx) advance() {
 	w.curOK = false
 }
 
-func (w *warpCtx) robPush(e robEntry) { w.rob = append(w.rob, e) }
-
 func (w *warpCtx) robEmpty() bool { return w.robHead >= len(w.rob) }
 
 func (w *warpCtx) finished() bool {
@@ -80,6 +85,9 @@ type smState struct {
 	tr   trace.Tracer // nil unless Config.Tracer is set
 	l1   *cacheArray
 	mshr flat.Table // lineAddr -> fill cycle
+	// mshrSweepAt is the MSHR table size that triggers the next sweep of
+	// dead entries (see mshrSweepMin).
+	mshrSweepAt int
 
 	l1Port int64   // next free L1 tag-port cycle (1 line/cycle)
 	pbFree []int64 // per-scheduler processing-block (tensor core) free cycle
@@ -96,6 +104,15 @@ type smState struct {
 	schedLive [][]uint64
 	greedy    []int // per-scheduler greedy warp slot (GTO)
 	ldstBusy  []int64
+
+	// The cycles at which tick's scans next have work (farFuture: none):
+	// retireDue is the earliest head-ROB completion over the live warps,
+	// and ldstDue the earliest ldstBusy completion. Only retire pops a ROB
+	// entry and only drainLDST drops a queue slot, and each recomputes its
+	// cycle as it scans; robPush and ldstPush lower them. nextWake reads
+	// both instead of scanning again.
+	retireDue int64
+	ldstDue   int64
 
 	// lhbRelease is a FIFO of pending LHB entry releases: a retired load's
 	// entries are released RetireDelay cycles after the instruction pops
@@ -131,6 +148,9 @@ func newSM(cfg Config, id int, mem *memSystem, gpu *gpuState) *smState {
 		greedy:       make([]int, cfg.Schedulers),
 		ctaWarpsLeft: make(map[int]int),
 		lineBuf:      make([]uint64, 0, 64),
+		mshrSweepAt:  mshrSweepMin,
+		retireDue:    farFuture,
+		ldstDue:      farFuture,
 	}
 	sm.liveMask = make([]uint64, (len(sm.warps)+63)/64)
 	sm.schedLive = make([][]uint64, cfg.Schedulers)
@@ -163,7 +183,10 @@ func (sm *smState) deactivateSlot(s int) {
 // placeCTA installs a CTA's warps into free slots. Caller guarantees
 // capacity (warpsPerCTA free slots). Warps share the kernel's memoized
 // canonical program for their tile shape; only the per-warp address
-// offsets and the recycled regReady/rob backing arrays are written.
+// offsets and the recycled regReady/rob backing arrays are written. Every
+// placed program is non-empty (rt*ct >= 1 tile stores, newWarpProgram), so
+// a placed warp finishes only when its last ROB entry pops inside retire —
+// which is what lets tick skip retire until retireDue.
 func (sm *smState) placeCTA(k *Kernel, cta int, launchSeq int64) {
 	live := 0
 	for w := 0; w < warpsPerCTA; w++ {
@@ -222,8 +245,15 @@ func (sm *smState) placeCTA(k *Kernel, cta int, launchSeq int64) {
 // SM then skips.
 func (sm *smState) tick(now int64) (issued int) {
 	sm.releaseLHB(now)
-	sm.retire(now)
-	sm.drainLDST(now)
+	if sm.retireDue <= now {
+		sm.retire(now)
+	}
+	if sm.ldstDue <= now {
+		sm.drainLDST(now)
+	}
+	if sm.mshr.Len() > sm.mshrSweepAt {
+		sm.sweepMSHR(now)
+	}
 	ldstBlocked := 0
 	for sid := 0; sid < sm.cfg.Schedulers; sid++ {
 		ok, blocked := sm.scheduleOne(sid, now)
@@ -269,14 +299,16 @@ func (sm *smState) settle(now int64) {
 	}
 }
 
-// retire pops completed instructions in program order per warp. Retired
-// tensor-core-loads schedule their LHB entry releases RetireDelay cycles
-// later: with the warp-register renaming of [15], a destination register
-// group stays valid well past instruction completion, until the rename pool
-// reclaims it; RetireDelay is the calibrated model of that reuse window
-// (§V-C governs the hit-rate ceiling through it).
+// retire pops completed instructions in program order per warp and
+// recomputes retireDue over what is left. Retired tensor-core-loads
+// schedule their LHB entry releases RetireDelay cycles later: with the
+// warp-register renaming of [15], a destination register group stays valid
+// well past instruction completion, until the rename pool reclaims it;
+// RetireDelay is the calibrated model of that reuse window (§V-C governs
+// the hit-rate ceiling through it).
 func (sm *smState) retire(now int64) {
 	delay := int64(sm.cfg.RetireDelay)
+	due := farFuture
 	for wi, word := range sm.liveMask {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
@@ -284,8 +316,21 @@ func (sm *smState) retire(now int64) {
 			s := wi<<6 + b
 			w := &sm.warps[s]
 			sm.retireWarp(w, s, now, delay)
+			if !w.robEmpty() {
+				due = min(due, w.rob[w.robHead].complete)
+			}
 		}
 	}
+	sm.retireDue = due
+}
+
+// robPush appends e to warp w's ROB, lowering retireDue when e becomes the
+// head.
+func (sm *smState) robPush(w *warpCtx, e robEntry) {
+	if w.robEmpty() {
+		sm.retireDue = min(sm.retireDue, e.complete)
+	}
+	w.rob = append(w.rob, e)
 }
 
 // retireWarp pops warp s's completed ROB entries and releases its slot once
@@ -296,8 +341,8 @@ func (sm *smState) retireWarp(w *warpCtx, s int, now, delay int64) {
 		if e.complete > now {
 			break
 		}
-		if e.isTCLoad && sm.du != nil {
-			sm.lhbRelease = append(sm.lhbRelease, lhbReleaseEvt{at: now + delay, seqLo: e.seqLo, seqHi: e.seqHi})
+		if e.tracked {
+			sm.lhbRelease = append(sm.lhbRelease, lhbReleaseEvt{at: now + delay, tcLoad: e.tcLoad})
 		}
 		w.robHead++
 		// Forward-progress heartbeat for the watchdog: a ROB pop covers
@@ -326,14 +371,14 @@ func (sm *smState) retireWarp(w *warpCtx, s int, now, delay int64) {
 func (sm *smState) releaseLHB(now int64) {
 	i := 0
 	for i < len(sm.lhbRelease) && sm.lhbRelease[i].at <= now {
-		e := sm.lhbRelease[i]
-		for q := e.seqLo; q < e.seqHi; q++ {
-			sm.du.Retire(q)
+		e := &sm.lhbRelease[i]
+		for r := uint64(0); r < tileRows; r++ {
+			sm.du.Retire(e.addr+r*uint64(e.pitch), e.seq+r)
 		}
 		if sm.tr != nil {
 			sm.tr.Emit(sm.id, trace.Event{
 				Cycle: now, Kind: trace.KindLHBRelease,
-				A: int64(e.seqHi - e.seqLo), Sched: -1, Warp: -1,
+				A: tileRows, Sched: -1, Warp: -1,
 			})
 		}
 		i++
@@ -346,31 +391,45 @@ func (sm *smState) releaseLHB(now int64) {
 	}
 }
 
-// mshrSweepLen is the MSHR table size beyond which drainLDST sweeps dead
-// entries. An entry whose fill has passed is dead — accessLine treats it
-// as absent — but it leaves the table only when its line is touched again,
-// so without a sweep the table would accrete one entry per distinct line
-// ever missed over a multi-million-cycle run. Live entries are bounded by
-// the misses in flight (at most LDSTQueueDepth loads' worth of lines), far
-// below this size, so a sweep frees most of the table and runs rarely.
-const mshrSweepLen = 1 << 12
-
-// drainLDST frees queue slots whose memory operations completed, and keeps
-// the MSHR table bounded by sweeping entries whose fills are in the past.
-// The sweep is behavior-invisible: accessLine deletes a passed entry on
-// first touch anyway, and the fill <= now condition is per-entry, so the
-// table's slot order cannot leak into results.
+// drainLDST frees queue slots whose memory operations completed and
+// recomputes ldstDue over the rest.
 func (sm *smState) drainLDST(now int64) {
 	q := sm.ldstBusy[:0]
+	due := farFuture
 	for _, t := range sm.ldstBusy {
 		if t > now {
 			q = append(q, t)
+			due = min(due, t)
 		}
 	}
-	sm.ldstBusy = q
-	if sm.mshr.Len() > mshrSweepLen {
-		sm.mshr.DeleteFunc(func(_ uint64, fill int64) bool { return fill <= now })
-	}
+	sm.ldstBusy, sm.ldstDue = q, due
+}
+
+// ldstPush occupies an LDST queue slot until cycle t.
+func (sm *smState) ldstPush(t int64) {
+	sm.ldstBusy = append(sm.ldstBusy, t)
+	sm.ldstDue = min(sm.ldstDue, t)
+}
+
+// mshrSweepMin is the smallest MSHR table size that triggers a sweep of
+// dead entries. An entry whose fill has passed is dead — accessLine treats
+// it as absent — but it leaves the table only when its line is touched
+// again, so without a sweep the table would accrete one entry per distinct
+// line ever missed over a multi-million-cycle run. Live entries are
+// bounded by the misses in flight (at most LDSTQueueDepth loads' worth of
+// lines), which can exceed this size, so the next sweep waits until the
+// table is twice what the last one left: a table full of live misses is not
+// swept on every tick, and the table stays within a small multiple of the
+// misses in flight, which keeps accessLine's probes in cache.
+const mshrSweepMin = 256
+
+// sweepMSHR drops the MSHR entries whose fills are in the past. It is
+// behavior-invisible: accessLine deletes a passed entry on first touch
+// anyway, and the fill <= now condition is per-entry, so the table's slot
+// order cannot leak into results.
+func (sm *smState) sweepMSHR(now int64) {
+	sm.mshr.DeleteFunc(func(_ uint64, fill int64) bool { return fill <= now })
+	sm.mshrSweepAt = max(mshrSweepMin, 2*sm.mshr.Len())
 }
 
 // scheduleOne runs one warp scheduler for one cycle: greedy-then-oldest.
@@ -488,7 +547,7 @@ func (sm *smState) tryIssue(sid int, w *warpCtx, now int64) (issued, ldstBlocked
 		sm.stats.MMAs++
 		sm.pbFree[sid] = now + int64(sm.cfg.MMAInitiation)
 		w.regReady[in.Dst] = now + int64(sm.cfg.MMALatency)
-		w.robPush(robEntry{complete: now + int64(sm.cfg.MMALatency)})
+		sm.robPush(w, robEntry{complete: now + int64(sm.cfg.MMALatency)})
 	case OpStoreD:
 		sm.issueStore(w, in, now)
 	}
@@ -502,8 +561,9 @@ func (sm *smState) tryIssue(sid int, w *warpCtx, now int64) (issued, ldstBlocked
 // what the LHB tracks), and only the rows that miss generate line requests.
 func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 	sm.stats.TensorLoads += tileRows
-	var seqLo, seqHi uint64
-	tracked := false
+	load := tcLoad{addr: in.Addr, pitch: in.RowPitch}
+	var ids [tileRows]duplo.ID
+	var trackedRows uint32 // bit r: row r has an LHB entry (ids[r])
 	var complete int64
 	anyMem := false
 	sm.lineBuf = sm.lineBuf[:0]
@@ -515,11 +575,11 @@ func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 		if sm.du != nil {
 			res, seq := sm.du.Access(w.slot, int(in.Dst), rowAddr, 0)
 			if r == 0 {
-				seqLo = seq
+				load.seq = seq
 			}
-			seqHi = seq + 1
 			if res.Kind != duplo.AccessBypass {
-				tracked = true
+				ids[r] = res.ID
+				trackedRows |= 1 << r
 			}
 			if res.Kind == duplo.AccessHit {
 				// Row eliminated: rename after the detection latency; the
@@ -592,16 +652,15 @@ func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 	}
 	w.regReady[in.Dst] = complete
 	if anyMem {
-		sm.ldstBusy = append(sm.ldstBusy, complete)
+		sm.ldstPush(complete)
 	}
-	w.robPush(robEntry{complete: complete, isTCLoad: tracked, seqLo: seqLo, seqHi: seqHi})
-	if tracked && anyMem {
+	sm.robPush(w, robEntry{complete: complete, tracked: trackedRows != 0, tcLoad: load})
+	if trackedRows != 0 && anyMem {
 		// Record the data-ready cycle in the rows' LHB entries so later
 		// hits wait for the data (meta update after the miss resolved).
 		for r := 0; r < tileRows; r++ {
-			rowAddr := in.Addr + uint64(r)*uint64(in.RowPitch)
-			if id, st := sm.du.Gen().IDs(rowAddr); st == duplo.StatusOK {
-				sm.du.SetMeta(id, complete)
+			if trackedRows&(1<<r) != 0 {
+				sm.du.SetMeta(ids[r], complete)
 			}
 		}
 	}
@@ -627,12 +686,11 @@ func (sm *smState) accessLine(line uint64, t int64) (int64, ServiceLevel) {
 		}
 		sm.mshr.Delete(line)
 	}
-	if sm.l1.Lookup(line) {
+	if sm.l1.Access(line) {
 		sm.stats.L1Hits++
 		return t + l1Lat, ServiceL1
 	}
 	fill, src := sm.mem.readLine(line, t+l1Lat)
-	sm.l1.Insert(line)
 	sm.mshr.Set(line, fill)
 	return fill, src
 }
@@ -654,8 +712,8 @@ func (sm *smState) issueStore(w *warpCtx, in Instr, now int64) {
 		sm.mem.writeLine(t)
 	}
 	complete := now + int64(sm.cfg.StoreLatency)
-	sm.ldstBusy = append(sm.ldstBusy, complete)
-	w.robPush(robEntry{complete: complete})
+	sm.ldstPush(complete)
+	sm.robPush(w, robEntry{complete: complete})
 }
 
 // busy reports whether any warp is resident.
@@ -675,13 +733,15 @@ const farFuture = int64(1) << 62
 // tick(now) in which this SM issued nothing, so every active warp is gated
 // on one of the events below; the wake set is
 //
-//   - the earliest ldstBusy drain (opens LDST queue back-pressure),
+//   - ldstDue, the earliest ldstBusy drain (opens LDST queue
+//     back-pressure),
 //   - the head lhbRelease.at (LHB entry releases run at exact cycles),
 //   - the L1 tag port's free cycle,
-//   - per active warp: the head ROB entry's complete cycle (in-order
-//     retire, so the head always pops first), and the gate of its current
-//     instruction — the blocking regReady cycles, or the processing-block
-//     free cycle once an MMA's operands are all ready.
+//   - retireDue, the earliest head ROB entry's complete cycle over the
+//     active warps (in-order retire, so a head always pops first),
+//   - per active warp: the gate of its current instruction — the blocking
+//     regReady cycles, or the processing-block free cycle once an MMA's
+//     operands are all ready.
 //
 // Any stale event (<= now) clamps to now+1 — the clock may refuse to skip,
 // but can never be sent backwards or past a wake (the deadlock guard,
@@ -696,15 +756,8 @@ func (sm *smState) nextWake(now int64) int64 {
 			wake = t
 		}
 	}
-	minLdst := farFuture
-	for _, t := range sm.ldstBusy {
-		if t < minLdst {
-			minLdst = t
-		}
-	}
-	if minLdst < farFuture {
-		add(minLdst)
-	}
+	add(sm.ldstDue) // farFuture when nothing is due: a no-op
+	add(sm.retireDue)
 	if len(sm.lhbRelease) > 0 {
 		add(sm.lhbRelease[0].at) // FIFO with monotone times: head is earliest
 	}
@@ -717,9 +770,6 @@ func (sm *smState) nextWake(now int64) int64 {
 			word &^= 1 << uint(b)
 			s := wi<<6 + b
 			w := &sm.warps[s]
-			if !w.robEmpty() {
-				add(w.rob[w.robHead].complete)
-			}
 			if w.pc >= w.prog.Len() {
 				continue
 			}
