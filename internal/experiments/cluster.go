@@ -185,11 +185,10 @@ func (r *Runner) Cluster() (*report.Table, error) {
 	return t, se
 }
 
-// clusterRow renders one finished DES cell. Latency percentiles are
-// cluster-wide worst-per-class maxima folded to the class-weighted view:
-// the table reports the completion-weighted merge of per-class
-// percentiles' host classes — concretely, the max per-class percentile,
-// the conservative single number for an SLO conversation.
+// clusterRow renders one finished DES cell. Each latency percentile
+// column is the largest of the per-class percentiles (p50 the largest
+// class p50, and so on): the worst class's figure, the conservative
+// single number for an SLO conversation.
 func clusterRow(policy serving.Policy, load float64, tag string, duploOn bool, setup *clusterSetup, m *serving.Metrics) []string {
 	var p50, p95, p99 int64
 	for _, c := range m.Classes {

@@ -232,34 +232,37 @@ func (h *eventHeap) push(ev event) {
 	q[i] = ev
 }
 
-// pop removes the minimum, sifting the displaced last element down through
-// a hole the same way.
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q = q[:n]
-	*h = q
+// replaceTop overwrites the minimum with ev and sifts it down through a
+// hole — a pop and a push in one sift.
+func (h eventHeap) replaceTop(ev event) {
+	n := len(h)
 	i := 0
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && lessEv(q[r], q[c]) {
+		if r := c + 1; r < n && lessEv(h[r], h[c]) {
 			c = r
 		}
-		if !lessEv(q[c], last) {
+		if !lessEv(h[c], ev) {
 			break
 		}
-		q[i] = q[c]
+		h[i] = h[c]
 		i = c
 	}
+	h[i] = ev
+}
+
+// pop removes the minimum, sifting the displaced last element down from
+// the root.
+func (h *eventHeap) pop() {
+	n := len(*h) - 1
+	last := (*h)[n]
+	*h = (*h)[:n]
 	if n > 0 {
-		q[i] = last
+		h.replaceTop(last)
 	}
-	return top
 }
 
 // sim is the running event loop's state.
@@ -286,6 +289,10 @@ type sim struct {
 	// depthArena backs the per-sample Depths slices in chunks, so a long
 	// sampled run costs one allocation per ~1k samples instead of one each.
 	depthArena []int
+
+	// topDone is set while a handler runs on the event at the heap's top,
+	// until its first push takes that spent slot (see Run).
+	topDone bool
 }
 
 // Run executes the cluster simulation to completion — arrivals generated
@@ -320,8 +327,15 @@ func Run(cfg Config) (*Metrics, error) {
 	if cfg.SampleEveryNanos > 0 {
 		s.push(event{at: cfg.SampleEveryNanos, kind: evSample})
 	}
+	// Each event is handled in place on the heap's top, not popped first:
+	// the handler's first push replaces it in one sift, and the loop pops
+	// it only if the handler pushed nothing. That leaves the same pending
+	// set as pop-then-push, and (at, kind, seq) is a strict total order,
+	// so the pop sequence depends only on that set. This holds as long as
+	// no handler reads s.events.
 	for len(s.events) > 0 {
-		ev := s.events.pop()
+		ev := s.events[0]
+		s.topDone = true
 		s.depthIntegral += float64(s.inSystem) * float64(ev.at-s.now)
 		s.now = ev.at
 		s.m.Events++
@@ -334,6 +348,10 @@ func Run(cfg Config) (*Metrics, error) {
 			s.complete(int(ev.who))
 		case evSample:
 			s.sample()
+		}
+		if s.topDone {
+			s.topDone = false
+			s.events.pop()
 		}
 	}
 	for i := range s.chips {
@@ -353,22 +371,34 @@ func Run(cfg Config) (*Metrics, error) {
 func (s *sim) push(ev event) {
 	ev.seq = s.seq
 	s.seq++
+	if s.topDone {
+		s.topDone = false
+		s.events.replaceTop(ev)
+		return
+	}
 	s.events.push(ev)
 }
 
 // scheduleArrival draws the class's next inter-arrival from `from` and
 // enqueues it unless it lands past the horizon (the stream then ends).
+// A gap of 2^63 ns or more lies past any int64 horizon and would wrap in
+// the conversion, so it ends the stream before converting; the rest are
+// compared with the horizon that remains, as from+gap could wrap too.
 func (s *sim) scheduleArrival(class int, from int64) {
 	gap := s.cfg.Classes[class].Arrival.Sample(s.rngs[class])
-	next := from + nanosOf(gap)
-	if next > s.cfg.HorizonNanos {
+	if !(gap*1e9 < 1<<63) {
 		return
 	}
-	s.push(event{at: next, kind: evArrival, who: int32(class)})
+	n := nanosOf(gap)
+	if n > s.cfg.HorizonNanos-from {
+		return
+	}
+	s.push(event{at: from + n, kind: evArrival, who: int32(class)})
 }
 
 // nanosOf converts a sampled inter-arrival in seconds to the integer
 // clock, clamping to at least one nanosecond so streams always advance.
+// seconds*1e9 must be below 2^63.
 func nanosOf(seconds float64) int64 {
 	n := int64(math.Round(seconds * 1e9))
 	if n < 1 {

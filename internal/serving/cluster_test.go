@@ -315,3 +315,49 @@ func TestClusterRetryModeling(t *testing.T) {
 		t.Error("retried run is not deterministic across repeats")
 	}
 }
+
+// gapSeq is a stub Dist that returns fixed inter-arrival gaps in order. A
+// draw past the end fails the test: the stream should have ended.
+type gapSeq struct {
+	t    *testing.T
+	gaps []float64
+}
+
+func (d *gapSeq) Sample(*RNG) float64 {
+	if len(d.gaps) == 0 {
+		d.t.Fatal("arrival stream drew past its last gap instead of ending")
+	}
+	g := d.gaps[0]
+	d.gaps = d.gaps[1:]
+	return g
+}
+func (d *gapSeq) Mean() float64   { return 1 }
+func (d *gapSeq) Validate() error { return nil }
+func (d *gapSeq) String() string  { return "gapseq" }
+
+// TestClusterHugeGapEndsStream: an inter-arrival past the int64 range of
+// nanoseconds ends the class's stream rather than wrapping to a 1-ns gap,
+// and a gap that fits int64 but overruns the horizon from a late arrival
+// ends it too rather than wrapping from+gap into the past.
+func TestClusterHugeGapEndsStream(t *testing.T) {
+	run := func(horizon int64, gaps ...float64) *Metrics {
+		t.Helper()
+		cfg := testConfig(RoundRobin, 1)
+		cfg.HorizonNanos = horizon
+		cfg.SampleEveryNanos = 0
+		cfg.Classes = []Class{{Name: "fast", Arrival: &gapSeq{t: t, gaps: gaps}}}
+		m, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if m := run(1_000_000_000, 1e12, 1e-3, 1e-3, 1e-3); m.Offered != 0 {
+		t.Errorf("a 1e12 s first gap must end the stream, got %d offered", m.Offered)
+	}
+	// 3e9 s lands at 3e18 ns inside the horizon; 7e9 s more is 7e18 ns,
+	// which fits int64 but 3e18+7e18 does not.
+	if m := run(4_000_000_000_000_000_000, 3e9, 7e9); m.Offered != 1 {
+		t.Errorf("a gap past the horizon must end the stream after one arrival, got %d offered", m.Offered)
+	}
+}

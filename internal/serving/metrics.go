@@ -3,6 +3,7 @@ package serving
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -66,8 +67,9 @@ type Metrics struct {
 	// horizon whenever anything was still in flight at it).
 	MakespanNanos int64 `json:"makespan_nanos"`
 
-	// Events counts processed DES events (arrivals + completions +
-	// samples) — the event-loop throughput denominator for benches.
+	// Events counts processed DES events (arrivals, retried offers,
+	// completions and samples) — the event-loop throughput denominator
+	// for benches.
 	Events int64 `json:"events"`
 	// BatchedRequests sums formed batch sizes; BatchedRequests/Batches
 	// ratios above 1 mean batching engaged.
@@ -143,16 +145,7 @@ func (m *Metrics) finish(makespan int64) {
 		m.Completed += c.Completed
 		m.Good += c.Good
 		if len(c.latencies) > 0 {
-			slices.Sort(c.latencies)
-			var sum int64
-			for _, v := range c.latencies {
-				sum += v
-			}
-			c.P50Nanos = percentile(c.latencies, 0.50)
-			c.P95Nanos = percentile(c.latencies, 0.95)
-			c.P99Nanos = percentile(c.latencies, 0.99)
-			c.MaxNanos = c.latencies[len(c.latencies)-1]
-			c.MeanNanos = sum / int64(len(c.latencies))
+			c.P50Nanos, c.P95Nanos, c.P99Nanos, c.MaxNanos, c.MeanNanos = latencyStats(c.latencies)
 		}
 		if c.latencies != nil {
 			buf := c.latencies[:0]
@@ -172,19 +165,91 @@ func (m *Metrics) finish(makespan int64) {
 	}
 }
 
-// percentile is the nearest-rank percentile of an ascending-sorted slice.
-func percentile(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
+// latencyStats reduces one class's latency samples (n > 0) to its
+// nearest-rank p50, p95 and p99, its max and its mean, reordering lat.
+// The ranks come from selection, not a sort: after each select lat[k]
+// holds what the sorted slice would hold there and nothing after it is
+// smaller, so the next, higher rank lies in lat[k:] and the max in
+// lat[k99:]. The int64 sum does not depend on order.
+func latencyStats(lat []int64) (p50, p95, p99, mx, mean int64) {
+	n := len(lat)
+	depth := 2 * bits.Len(uint(n))
+	k50, k95, k99 := nearestRank(0.50, n), nearestRank(0.95, n), nearestRank(0.99, n)
+	selectNth(lat, k50, depth)
+	p50 = lat[k50]
+	selectNth(lat[k50:], k95-k50, depth)
+	p95 = lat[k95]
+	selectNth(lat[k95:], k99-k95, depth)
+	p99 = lat[k99]
+	mx = slices.Max(lat[k99:])
+	var sum int64
+	for _, v := range lat {
+		sum += v
 	}
-	idx := int(q*float64(len(sorted))+0.9999999) - 1
+	return p50, p95, p99, mx, sum / int64(n)
+}
+
+// nearestRank is the 0-based index of the nearest-rank q-quantile among
+// n > 0 ascending values.
+func nearestRank(q float64, n int) int {
+	idx := int(q*float64(n)+0.9999999) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
+	if idx >= n {
+		idx = n - 1
 	}
-	return sorted[idx]
+	return idx
+}
+
+// selectNth reorders a so that a[k] holds the value the ascending sort of
+// a would hold there, with nothing before it larger and nothing after it
+// smaller: quickselect over median-of-three Hoare partitions. After depth
+// partitions it sorts the range still open instead (introselect), so
+// adversarial input costs O(n log n), not O(n²).
+func selectNth(a []int64, k, depth int) {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		if depth == 0 || hi-lo < 16 {
+			slices.Sort(a[lo : hi+1])
+			return
+		}
+		depth--
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		if x > y {
+			x, y = y, x
+		}
+		if y > z {
+			y = z
+			if x > y {
+				y = x
+			}
+		}
+		// Hoare partition around the median value y: afterwards
+		// a[lo..j] <= y, a[i..hi] >= y and a[j+1..i-1] == y.
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < y {
+				i++
+			}
+			for a[j] > y {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // Ms converts nanoseconds to milliseconds for rendering.
