@@ -1,6 +1,5 @@
-// Quickstart: lower a small convolution, verify the GEMM-based result
-// against direct convolution, and simulate it on the modeled GPU with and
-// without the Duplo detection unit.
+// Quickstart: describe a small convolution's lowered GEMM and simulate it
+// on the modeled GPU with and without the Duplo detection unit.
 //
 //	go run ./examples/quickstart
 package main
@@ -10,9 +9,7 @@ import (
 	"log"
 
 	"duplo/internal/conv"
-	"duplo/internal/lowering"
 	"duplo/internal/sim"
-	"duplo/internal/tensor"
 )
 
 func main() {
@@ -21,30 +18,8 @@ func main() {
 	// creates ~9x data duplication.
 	p := conv.Params{N: 2, H: 32, W: 32, C: 16, K: 32, FH: 3, FW: 3, Pad: 1, Stride: 1}
 	fmt.Println("layer:", p)
-	fmt.Printf("GEMM dims: M=%d N=%d K=%d, workspace duplication %.2fx\n",
+	fmt.Printf("GEMM dims: M=%d N=%d K=%d, workspace duplication %.2fx\n\n",
 		p.GemmM(), p.GemmN(), p.GemmK(), p.DuplicationFactor())
-
-	// Functional check: GEMM-based convolution equals direct convolution.
-	input := tensor.New(p.N, p.H, p.W, p.C)
-	input.FillRandom(1, 1)
-	filters := tensor.New(p.K, p.FH, p.FW, p.C)
-	filters.FillRandom(2, 0.5)
-
-	direct, err := conv.Direct(p, input, filters)
-	if err != nil {
-		log.Fatal(err)
-	}
-	gemm, err := lowering.GemmConv(p, input, filters)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("GEMM vs direct max rel err: %.2e\n", gemm.RelErr(direct))
-
-	tc, err := lowering.TensorCoreConv(p, input, filters)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("tensor-core (fp16) vs direct rel err: %.2e\n\n", tc.RelErr(direct))
 
 	// Timing: simulate the tensor-core GEMM kernel on the Table III GPU.
 	k, err := sim.NewConvKernel("quickstart", p)

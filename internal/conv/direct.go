@@ -11,7 +11,7 @@ import (
 // the N slot) by the sliding-filter method of Fig. 1(a). It returns the
 // N x OutH x OutW x K output.
 //
-// This is the reference every accelerated method is validated against. It is
+// This is the reference the im2col lowering is validated against. It is
 // deliberately the naive deeply-nested loop the paper describes; no blocking
 // or vectorization.
 func Direct(p Params, input, filters *tensor.Tensor) (*tensor.Tensor, error) {

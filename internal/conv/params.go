@@ -3,8 +3,9 @@
 //
 // Direct convolution is the paper's Fig. 1(a) baseline: the filter slides
 // over the input and each output element is the dot product between the
-// filter and the overlapping receptive field. Every other method in this
-// repository (GEMM-based, Winograd, FFT) is validated against it.
+// filter and the overlapping receptive field. The im2col lowering (the
+// product of lowering.Lower's workspace and filter matrices) is validated
+// against it.
 package conv
 
 import (

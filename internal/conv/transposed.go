@@ -9,10 +9,9 @@ import (
 // Transposed computes a transposed ("TC" in Table I) convolution, the
 // upsampling operation of GAN generator layers [31]. Following the paper
 // (§II-A), the GPU implements it by inserting zeros into the input and then
-// performing an ordinary convolution; ToDirect exposes exactly that lowering
-// so the GEMM/tensor-core path can reuse the whole machinery of this
-// repository, and Transposed itself is an independent scatter-style reference
-// used to validate it.
+// performing an ordinary convolution; ToDirect exposes exactly that lowering,
+// and Transposed itself is an independent scatter-style reference used to
+// validate it.
 //
 // Shape convention (matching Table I): the input is N x H x W x C, filters
 // are K x FH x FW x C (C input channels -> K output channels), and the
@@ -62,8 +61,9 @@ func Transposed(p Params, input, filters *tensor.Tensor) (*tensor.Tensor, error)
 // convolution: the input is zero-dilated by the stride (each element lands at
 // coordinate i*Stride) and the filter is spatially flipped; the equivalent
 // direct convolution then uses stride 1 and padding FH-1-Pad. This is the
-// "inserting zeros before performing a convolution" formulation of §II-A and
-// is what the GEMM-based path simulates for GAN's TC layers.
+// "inserting zeros before performing a convolution" formulation of §II-A; its
+// parameters are TransposedEquivalentParams, the shape the simulator runs for
+// GAN's TC layers.
 func ToDirect(p Params, input, filters *tensor.Tensor) (Params, *tensor.Tensor, *tensor.Tensor, error) {
 	if err := p.Validate(); err != nil {
 		return Params{}, nil, nil, err
@@ -94,12 +94,7 @@ func ToDirect(p Params, input, filters *tensor.Tensor) (Params, *tensor.Tensor, 
 			}
 		}
 	}
-	dp := Params{
-		N: p.N, H: p.H * p.Stride, W: p.W * p.Stride, C: p.C,
-		K: p.K, FH: p.FH, FW: p.FW,
-		Pad: p.FH - 1 - p.Pad, Stride: 1,
-	}
-	return dp, dil, flip, nil
+	return TransposedEquivalentParams(p), dil, flip, nil
 }
 
 // TransposedEquivalentParams returns only the lowered direct-convolution

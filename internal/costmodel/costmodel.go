@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"duplo/internal/conv"
-	"duplo/internal/fftconv"
 	"duplo/internal/lowering"
 	"duplo/internal/memmodel"
 )
@@ -136,7 +135,7 @@ func Seconds(d Device, m memmodel.Method, p conv.Params) float64 {
 		return math.Max(transT+prodT, memT)
 
 	case memmodel.FFT:
-		l := float64(fftconv.GridSize(p))
+		l := float64(memmodel.FFTGridSize(p))
 		planes := float64(p.N*p.C + p.K*p.C + p.N*p.K)
 		fftF := 5 * l * l * math.Log2(l*l) * planes
 		prod := 8 * l * l * float64(p.N) * float64(p.C) * float64(p.K)

@@ -21,33 +21,6 @@ func BenchmarkLower(b *testing.B) {
 	}
 }
 
-func BenchmarkGemmConv(b *testing.B) {
-	in := tensor.New(benchP.N, benchP.H, benchP.W, benchP.C)
-	in.FillRandom(1, 1)
-	f := tensor.New(benchP.K, benchP.FH, benchP.FW, benchP.C)
-	f.FillRandom(2, 0.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := GemmConv(benchP, in, f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTensorCoreConv(b *testing.B) {
-	p := conv.Params{N: 1, H: 16, W: 16, C: 16, K: 16, FH: 3, FW: 3, Pad: 1, Stride: 1}
-	in := tensor.New(p.N, p.H, p.W, p.C)
-	in.FillRandom(1, 1)
-	f := tensor.New(p.K, p.FH, p.FW, p.C)
-	f.FillRandom(2, 0.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := TensorCoreConv(p, in, f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFillRow(b *testing.B) {
 	in := tensor.New(benchP.N, benchP.H, benchP.W, benchP.C)
 	in.FillRandom(1, 1)

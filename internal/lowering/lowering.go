@@ -112,12 +112,10 @@ func Lower(p conv.Params, input, filters *tensor.Tensor) (*Lowered, error) {
 	kp, np := RoundUp(k, Tile), RoundUp(n, Tile)
 	a := tensor.NewMatrixStrided(m, k, kp)
 	row := 0
-	buf := make([]float32, k)
 	for img := 0; img < p.N; img++ {
 		for oy := 0; oy < p.OutH(); oy++ {
 			for ox := 0; ox < p.OutW(); ox++ {
-				FillRow(p, input, img, oy, ox, buf)
-				copy(a.Row(row), buf)
+				FillRow(p, input, img, oy, ox, a.Row(row))
 				row++
 			}
 		}
@@ -137,9 +135,7 @@ func Lower(p conv.Params, input, filters *tensor.Tensor) (*Lowered, error) {
 }
 
 // FillRow writes the workspace row for output position (img, oy, ox) into
-// dst (length >= GemmK). This is the lazy, tile-on-demand lowering used by
-// implicit GEMM (§II-C): a CTA expands only the rows it needs into shared
-// memory instead of materializing the whole workspace.
+// dst (length >= GemmK). Lower builds the workspace one FillRow per row.
 func FillRow(p conv.Params, input *tensor.Tensor, img, oy, ox int, dst []float32) {
 	i := 0
 	for fy := 0; fy < p.FH; fy++ {

@@ -231,3 +231,80 @@ func TestFillRowMatchesLower(t *testing.T) {
 		}
 	}
 }
+
+var testLayers = []conv.Params{
+	{N: 1, H: 4, W: 4, C: 1, K: 1, FH: 3, FW: 3, Pad: 0, Stride: 1},   // Fig. 1
+	{N: 2, H: 8, W: 8, C: 4, K: 8, FH: 3, FW: 3, Pad: 1, Stride: 1},   // ResNet-like
+	{N: 1, H: 9, W: 9, C: 3, K: 4, FH: 3, FW: 3, Pad: 0, Stride: 2},   // strided
+	{N: 2, H: 8, W: 8, C: 2, K: 3, FH: 5, FW: 5, Pad: 2, Stride: 2},   // GAN-like
+	{N: 1, H: 12, W: 10, C: 5, K: 7, FH: 7, FW: 7, Pad: 3, Stride: 2}, // ResNet C1-like
+	{N: 1, H: 6, W: 6, C: 16, K: 16, FH: 1, FW: 1, Pad: 0, Stride: 1}, // pointwise
+}
+
+// loweredProduct lowers p and multiplies the workspace A by the filter
+// matrix B in a naive triple loop over the padded depth KPad, as a
+// tensor-core kernel does, so nonzero padding would show. Workspace rows
+// are ordered (n, oy, ox) and B's columns are the K filters, so row r of
+// the M x N product is output position r of the NHWC output.
+func loweredProduct(t *testing.T, p conv.Params, in, f *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	l, err := Lower(p, in, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := p.NewOutput()
+	for r := 0; r < l.M; r++ {
+		for n := 0; n < l.N; n++ {
+			var acc float32
+			for k := 0; k < l.KPad; k++ {
+				acc += l.A.At(r, k) * l.B.At(k, n)
+			}
+			out.Data[r*l.N+n] = acc
+		}
+	}
+	return out
+}
+
+// The lowered product must equal direct convolution up to fp32
+// reassociation error: the workspace is a correct im2col.
+func TestLoweredProductMatchesDirect(t *testing.T) {
+	for _, p := range testLayers {
+		in := tensor.New(p.N, p.H, p.W, p.C)
+		in.FillRandom(41, 1)
+		f := tensor.New(p.K, p.FH, p.FW, p.C)
+		f.FillRandom(42, 0.5)
+		want, err := conv.Direct(p, in, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := loweredProduct(t, p, in, f).RelErr(want); d > 1e-4 {
+			t.Errorf("%v: lowered product rel err %v", p, d)
+		}
+	}
+}
+
+// Transposed convolutions lowered through their zero-dilated direct
+// equivalent must match the scatter reference — this is how GAN's TC
+// layers run on the simulated tensor cores.
+func TestTransposedViaGemm(t *testing.T) {
+	p := conv.Params{N: 1, H: 4, W: 4, C: 3, K: 2, FH: 5, FW: 5, Pad: 2, Stride: 2}
+	in := tensor.New(p.N, p.H, p.W, p.C)
+	in.FillRandom(61, 1)
+	f := tensor.New(p.K, p.FH, p.FW, p.C)
+	f.FillRandom(62, 0.5)
+	want, err := conv.Transposed(p, in, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, dil, flip, err := conv.ToDirect(p, in, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := loweredProduct(t, dp, dil, flip)
+	if !got.SameShape(want) {
+		t.Fatalf("shape %s vs %s", got.ShapeString(), want.ShapeString())
+	}
+	if d := got.RelErr(want); d > 1e-4 {
+		t.Errorf("transposed-via-GEMM rel err %v", d)
+	}
+}

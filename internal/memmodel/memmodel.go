@@ -8,10 +8,10 @@
 package memmodel
 
 import (
+	"math/bits"
+
 	"duplo/internal/conv"
-	"duplo/internal/fftconv"
 	"duplo/internal/lowering"
-	"duplo/internal/winograd"
 )
 
 // Method enumerates the compared convolution implementations of Fig. 2/3.
@@ -54,17 +54,58 @@ func Methods() []Method {
 }
 
 // Applicable reports whether the method supports the layer (§II-A: Winograd
-// needs 3x3 unit-stride filters; FFT needs unit stride). Inapplicable
-// combinations are the missing bars of Fig. 2/3.
+// F(2x2, 3x3) needs 3x3 unit-stride filters; FFT needs unit stride).
+// Inapplicable combinations are the missing bars of Fig. 2/3.
 func Applicable(m Method, p conv.Params) bool {
 	switch m {
 	case Winograd, WinogradTensorCore:
-		return winograd.Applicable(p)
+		return p.FH == 3 && p.FW == 3 && p.Stride == 1
 	case FFT:
-		return fftconv.Applicable(p)
+		return p.Stride == 1
 	default:
 		return true
 	}
+}
+
+// winogradTransformElems returns the number of Winograd-domain elements
+// F(2x2, 3x3) materializes: the transformed filters U (16 per
+// filter-channel), input tiles V (16 per tile-channel) and products M (16
+// per tile-filter), one tile per 2x2 output block.
+func winogradTransformElems(p conv.Params) int64 {
+	tiles := int64((p.OutH()+1)/2) * int64((p.OutW()+1)/2) * int64(p.N)
+	u := int64(p.K) * int64(p.C) * 16
+	v := int64(p.C) * tiles * 16
+	m := int64(p.K) * tiles * 16
+	return u + v + m
+}
+
+// FFTGridSize returns the power-of-two FFT grid edge for the layer: the
+// padded input must fit without circular wrap-around of the correlation
+// window.
+func FFTGridSize(p conv.Params) int {
+	return nextPow2(max(p.H+2*p.Pad, p.W+2*p.Pad))
+}
+
+// fftTransformElems returns the number of Fourier-domain elements the FFT
+// method materializes (padded input planes, filter planes, and one
+// accumulator per output channel), in real-scalar units (x2 for complex).
+// Padding small filters up to full power-of-two image grids is where
+// Fig. 3's 53.5x FFT average comes from.
+func fftTransformElems(p conv.Params) int64 {
+	l := int64(FFTGridSize(p))
+	planes := l * l
+	inputG := int64(p.N) * int64(p.C) * planes
+	filterG := int64(p.K) * int64(p.C) * planes
+	outG := int64(p.N) * int64(p.K) * planes
+	return 2 * (inputG + filterG + outG)
+}
+
+// nextPow2 returns the smallest power of two >= x (and >= 1).
+func nextPow2(x int) int {
+	if x <= 1 {
+		return 1
+	}
+	return 1 << bits.Len(uint(x-1))
 }
 
 // elemSize returns the working element size in bytes: tensor-core methods
@@ -110,9 +151,9 @@ func Bytes(m Method, p conv.Params) int64 {
 		// space"). Global footprint equals direct.
 		return b
 	case Winograd, WinogradTensorCore:
-		return b + winograd.TransformElems(p)*es
+		return b + winogradTransformElems(p)*es
 	case FFT:
-		return b + fftconv.TransformElems(p)*4 // complex stored as fp32 pairs
+		return b + fftTransformElems(p)*4 // complex stored as fp32 pairs
 	}
 	return 0
 }

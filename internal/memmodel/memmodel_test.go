@@ -113,6 +113,71 @@ func TestInapplicableIsZero(t *testing.T) {
 	}
 }
 
+// F(2x2, 3x3) covers only 3x3 unit-stride layers.
+func TestWinogradApplicable(t *testing.T) {
+	ok := conv.Params{N: 1, H: 8, W: 8, C: 1, K: 1, FH: 3, FW: 3, Pad: 1, Stride: 1}
+	if !Applicable(Winograd, ok) || !Applicable(WinogradTensorCore, ok) {
+		t.Error("3x3 stride 1 should be applicable")
+	}
+	for _, p := range []conv.Params{
+		{N: 1, H: 8, W: 8, C: 1, K: 1, FH: 3, FW: 3, Pad: 1, Stride: 2},
+		{N: 1, H: 8, W: 8, C: 1, K: 1, FH: 5, FW: 5, Pad: 2, Stride: 1},
+		{N: 1, H: 8, W: 8, C: 1, K: 1, FH: 7, FW: 7, Pad: 3, Stride: 1},
+	} {
+		if Applicable(Winograd, p) || Applicable(WinogradTensorCore, p) {
+			t.Errorf("%v should be inapplicable", p)
+		}
+	}
+}
+
+// FFT convolution covers any filter size but only unit stride.
+func TestFFTApplicable(t *testing.T) {
+	if !Applicable(FFT, conv.Params{N: 1, H: 4, W: 4, C: 1, K: 1, FH: 3, FW: 3, Stride: 1}) {
+		t.Error("stride 1 should be applicable")
+	}
+	if Applicable(FFT, conv.Params{N: 1, H: 4, W: 4, C: 1, K: 1, FH: 3, FW: 3, Stride: 2}) {
+		t.Error("stride 2 should be inapplicable")
+	}
+}
+
+func TestWinogradTransformElems(t *testing.T) {
+	p := conv.Params{N: 1, H: 4, W: 4, C: 1, K: 1, FH: 3, FW: 3, Pad: 1, Stride: 1}
+	// tiles = 2x2=4; U = 16, V = 4*16 = 64, M = 4*16 = 64 -> 144.
+	if got := winogradTransformElems(p); got != 144 {
+		t.Errorf("winogradTransformElems = %d, want 144", got)
+	}
+	if got, want := Bytes(Winograd, p), Bytes(Direct, p)+144*4; got != want {
+		t.Errorf("Winograd bytes %d, want direct + 144 fp32 = %d", got, want)
+	}
+	bad := conv.Params{N: 1, H: 4, W: 4, C: 1, K: 1, FH: 5, FW: 5, Pad: 2, Stride: 1}
+	if Bytes(Winograd, bad) != 0 {
+		t.Error("inapplicable layer should report 0 bytes")
+	}
+}
+
+func TestFFTGridSizeAndTransformElems(t *testing.T) {
+	p := conv.Params{N: 1, H: 6, W: 6, C: 1, K: 1, FH: 3, FW: 3, Pad: 1, Stride: 1}
+	if FFTGridSize(p) != 8 {
+		t.Fatalf("grid %d", FFTGridSize(p))
+	}
+	// input 1*1*64, filter 1*1*64, out 1*1*64 complex -> 2*192 = 384.
+	if got := fftTransformElems(p); got != 384 {
+		t.Errorf("fftTransformElems = %d, want 384", got)
+	}
+	if Bytes(FFT, conv.Params{N: 1, H: 4, W: 4, C: 1, K: 1, FH: 3, FW: 3, Stride: 2}) != 0 {
+		t.Error("inapplicable should be 0")
+	}
+}
+
+func TestNextPow2(t *testing.T) {
+	cases := [][2]int{{0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {224, 256}, {230, 256}, {257, 512}}
+	for _, c := range cases {
+		if got := nextPow2(c[0]); got != c[1] {
+			t.Errorf("nextPow2(%d) = %d, want %d", c[0], got, c[1])
+		}
+	}
+}
+
 func TestMethodStrings(t *testing.T) {
 	for _, m := range append(Methods(), Direct, ImplicitGEMM) {
 		if m.String() == "?" || m.String() == "" {

@@ -361,10 +361,12 @@ func Run(cfg Config) (*Metrics, error) {
 			s.m.MaxQueueDepth = s.chips[i].maxDepth
 		}
 	}
-	if s.now > 0 {
-		s.m.MeanQueueDepth = s.depthIntegral / float64(s.now)
-	}
 	s.m.finish(s.now)
+	// No request is in the system after the last event, so the integral
+	// over the makespan is the integral up to s.now.
+	if s.m.MakespanNanos > 0 {
+		s.m.MeanQueueDepth = s.depthIntegral / float64(s.m.MakespanNanos)
+	}
 	return s.m, nil
 }
 

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -145,6 +146,34 @@ func TestClusterBatching(t *testing.T) {
 	}
 	if m1.BatchedRequests != m1.Batches {
 		t.Errorf("MaxBatch=1 must form singleton batches: %d requests in %d batches", m1.BatchedRequests, m1.Batches)
+	}
+}
+
+// TestClusterMeanQueueDepthOverMakespan: MeanQueueDepth averages the
+// in-system count over the makespan, like MeanUtilization, even when the
+// last completion precedes the horizon. At 5 requests/s on 4 chips every
+// request is a lone 0.5 ms batch, so the depth integral is Completed x
+// MeanNanos.
+func TestClusterMeanQueueDepthOverMakespan(t *testing.T) {
+	cfg := testConfig(RoundRobin, 3)
+	cfg.SampleEveryNanos = 0
+	cfg.Classes = []Class{{Name: "fast", Arrival: Exponential{Rate: 5}}}
+	m, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.Classes[0]
+	if c.Completed == 0 || c.MaxNanos != 500_000 || m.BatchedRequests != m.Batches {
+		t.Fatalf("want lone 0.5 ms batches: %d completed, max latency %d ns, %d requests in %d batches",
+			c.Completed, c.MaxNanos, m.BatchedRequests, m.Batches)
+	}
+	if m.MakespanNanos != cfg.HorizonNanos {
+		t.Fatalf("makespan %d, want the %d horizon", m.MakespanNanos, cfg.HorizonNanos)
+	}
+	want := float64(c.Completed) * float64(c.MeanNanos) / float64(m.MakespanNanos)
+	if math.Abs(m.MeanQueueDepth-want) > 1e-12 {
+		t.Errorf("MeanQueueDepth %v, want %v (%d x %d ns over %d ns)",
+			m.MeanQueueDepth, want, c.Completed, c.MeanNanos, m.MakespanNanos)
 	}
 }
 

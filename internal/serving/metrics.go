@@ -110,7 +110,9 @@ type Metrics struct {
 // A run appends one sample per completed request and finish discards the
 // slice after folding it into percentiles; without the pool every run
 // regrows that capacity from scratch (sweeps and benches run thousands of
-// configs back to back).
+// configs back to back). A GC may empty the pool, so allocs/op depends on
+// GC timing (78-87 for BenchmarkClusterEventLoop at -benchtime 5x), which
+// scripts/benchcheck.sh's +64 slack absorbs.
 var latencyPool = sync.Pool{New: func() interface{} { return new([]int64) }}
 
 func newMetrics(cfg Config) *Metrics {

@@ -11,14 +11,6 @@ type Matrix struct {
 	Data       []float32
 }
 
-// NewMatrix allocates a zero matrix with Stride == Cols.
-func NewMatrix(rows, cols int) *Matrix {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("tensor: invalid matrix dims %dx%d", rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Stride: cols, Data: make([]float32, rows*cols)}
-}
-
 // NewMatrixStrided allocates a zero matrix whose rows are padded to stride
 // elements (stride >= cols). The padding stays zero, which matches the
 // zero-padded K dimension fed to tensor cores.
@@ -37,38 +29,3 @@ func (m *Matrix) Set(r, c int, v float32) { m.Data[r*m.Stride+c] = v }
 
 // Row returns the slice backing row r (length Cols).
 func (m *Matrix) Row(r int) []float32 { return m.Data[r*m.Stride : r*m.Stride+m.Cols] }
-
-// Clone deep-copies the matrix.
-func (m *Matrix) Clone() *Matrix {
-	d := make([]float32, len(m.Data))
-	copy(d, m.Data)
-	return &Matrix{Rows: m.Rows, Cols: m.Cols, Stride: m.Stride, Data: d}
-}
-
-// MaxAbsDiff returns the largest |a-b| over the logical (unpadded) region.
-func (m *Matrix) MaxAbsDiff(o *Matrix) float64 {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic(fmt.Sprintf("tensor: matrix shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	var max float64
-	for r := 0; r < m.Rows; r++ {
-		a, b := m.Row(r), o.Row(r)
-		for c := range a {
-			d := float64(a[c]) - float64(b[c])
-			if d < 0 {
-				d = -d
-			}
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
-
-// Fill sets every element (including stride padding) to v.
-func (m *Matrix) Fill(v float32) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}

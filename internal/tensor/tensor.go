@@ -52,15 +52,6 @@ func (t *Tensor) At(n, y, x, c int) float32 { return t.Data[t.Index(n, y, x, c)]
 // Set stores v at (n, y, x, c).
 func (t *Tensor) Set(n, y, x, c int, v float32) { t.Data[t.Index(n, y, x, c)] = v }
 
-// AtPadded returns the element at (n, y, x, c) treating out-of-bounds spatial
-// coordinates as zero padding. Batch and channel must be in range.
-func (t *Tensor) AtPadded(n, y, x, c int) float32 {
-	if y < 0 || y >= t.H || x < 0 || x >= t.W {
-		return 0
-	}
-	return t.Data[t.Index(n, y, x, c)]
-}
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	d := make([]float32, len(t.Data))
@@ -137,7 +128,3 @@ func (t *Tensor) RelErr(o *Tensor) float64 {
 func (t *Tensor) ShapeString() string {
 	return fmt.Sprintf("%dx%dx%dx%d", t.N, t.H, t.W, t.C)
 }
-
-// Bytes returns the storage footprint assuming elemSize bytes per element
-// (2 for half precision, 4 for single precision).
-func (t *Tensor) Bytes(elemSize int) int64 { return int64(t.Len()) * int64(elemSize) }
