@@ -78,28 +78,6 @@ func NewDetectionUnit(cfg DetectionUnitConfig, warps, archRegs int) (*DetectionU
 	}, nil
 }
 
-// Reset power-gates the unit and clears all run-accumulated state (LHB
-// contents and counters, rename mappings, the load sequence counter) while
-// keeping every backing buffer, so a pooled unit re-Programmed for the next
-// kernel behaves byte-identically to a fresh NewDetectionUnit.
-func (d *DetectionUnit) Reset() {
-	d.lhb.Reset()
-	d.renames.Reset()
-	d.gen = nil
-	d.awake = false
-	d.seq = 0
-}
-
-// Fits reports whether a pooled unit built with some earlier configuration
-// can be reused (after Reset) for a run wanting cfg, warps and archRegs —
-// i.e. whether its fixed-size storage has exactly the requested geometry.
-func (d *DetectionUnit) Fits(cfg DetectionUnitConfig, warps, archRegs int) bool {
-	if cfg.LatencyCycles <= 0 {
-		cfg.LatencyCycles = 2
-	}
-	return d.cfg == cfg && d.renames.warps == warps && d.renames.archRegs == archRegs
-}
-
 // Program loads the compiler-generated convolution information at kernel
 // launch, waking the unit (§IV-A).
 func (d *DetectionUnit) Program(p conv.Params, layout lowering.Layout) error {

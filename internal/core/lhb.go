@@ -127,24 +127,6 @@ func NewLHB(cfg LHBConfig, pid uint32) (*LHB, error) {
 	return l, nil
 }
 
-// Reset returns the buffer to its just-built state — counters zeroed, every
-// entry invalid, the oracle storage empty — reusing all backing storage.
-// The arena/pool reuse protocol (sim.Arena) depends on a reset buffer
-// behaving byte-identically to a fresh NewLHB.
-func (l *LHB) Reset() {
-	l.Stats = LHBStats{}
-	l.clock = 0
-	if l.cfg.Oracle {
-		l.entries = l.entries[:0]
-		l.oFree = l.oFree[:0]
-		l.oracle.Reset()
-		return
-	}
-	for i := range l.entries {
-		l.entries[i] = lhbEntry{}
-	}
-}
-
 // index hashes the element ID into a set index (§IV-B: the low element-ID
 // bits are "hashed for indexing" the buffer). A plain modulo would be
 // pathological here: element IDs of spatially adjacent workspace rows differ

@@ -94,14 +94,3 @@ func (t *RenameTable) LivePhysRegs() int {
 	}
 	return len(live)
 }
-
-// Reset returns the table to its just-built state, reusing the backing
-// array (sim.Arena reuse protocol).
-func (t *RenameTable) Reset() {
-	for i := range t.table {
-		t.table[i] = InvalidReg
-	}
-	t.next = 0
-	t.Renames = 0
-	t.Allocs = 0
-}

@@ -16,7 +16,7 @@ import (
 // tests exercise the caching/fault plumbing without paying for real
 // simulations. Fault tests re-wrap it with faultWrap explicitly (setting
 // r.simFn directly bypasses the wrap NewRunner installed).
-func stubSimFn(_ context.Context, cfg sim.Config, k *sim.Kernel, _ *sim.Arena) (sim.Result, error) {
+func stubSimFn(_ context.Context, cfg sim.Config, k *sim.Kernel) (sim.Result, error) {
 	cycles := int64(1000)
 	if cfg.Duplo {
 		cycles = 900

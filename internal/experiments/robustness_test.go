@@ -31,7 +31,7 @@ func TestRunnerEvictsFailedRuns(t *testing.T) {
 	opts.Workers = 4
 	r := NewRunner(opts)
 	var calls atomic.Int64
-	r.simFn = func(context.Context, sim.Config, *sim.Kernel, *sim.Arena) (sim.Result, error) {
+	r.simFn = func(context.Context, sim.Config, *sim.Kernel) (sim.Result, error) {
 		if calls.Add(1) == 1 {
 			return sim.Result{}, errInjected
 		}
@@ -74,7 +74,7 @@ func TestRunnerEvictsFailedRuns(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	r.simFn = func(context.Context, sim.Config, *sim.Kernel, *sim.Arena) (sim.Result, error) {
+	r.simFn = func(context.Context, sim.Config, *sim.Kernel) (sim.Result, error) {
 		if failing.Load() {
 			once.Do(func() { close(started) })
 			<-release
@@ -131,7 +131,7 @@ func TestRunnerCancelledFlightRetriesWaiters(t *testing.T) {
 	var calls atomic.Int64
 	started := make(chan struct{})
 	var cause error // the first flight's error cause, set before each flight starts
-	r.simFn = func(ctx context.Context, _ sim.Config, _ *sim.Kernel, _ *sim.Arena) (sim.Result, error) {
+	r.simFn = func(ctx context.Context, _ sim.Config, _ *sim.Kernel) (sim.Result, error) {
 		if calls.Add(1) == 1 {
 			close(started)
 			<-ctx.Done()
@@ -283,7 +283,7 @@ func TestPartialTableDeterministic(t *testing.T) {
 		opts.Layers = layers
 		opts.Workers = workers
 		r := NewRunner(opts)
-		r.simFn = func(_ context.Context, cfg sim.Config, k *sim.Kernel, _ *sim.Arena) (sim.Result, error) {
+		r.simFn = func(_ context.Context, cfg sim.Config, k *sim.Kernel) (sim.Result, error) {
 			if cfg.Duplo && cfg.DetectCfg.LHB == failLHB && k.Name == failLayer {
 				return sim.Result{}, errInjected
 			}

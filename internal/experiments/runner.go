@@ -36,7 +36,7 @@ type Runner struct {
 
 	// shared is the ground truth this runner has in common with every
 	// Session made from it (or from its parent): the exact-result memo,
-	// the disk tier, the simulator-state pool and the simulate function.
+	// the disk tier and the simulate function.
 	*shared
 
 	// Calibrated analytical predictor state (predict.go), owned by this
@@ -59,18 +59,9 @@ type Runner struct {
 
 // shared is the part of a Runner its sessions share (see Session).
 type shared struct {
-	// simFn executes one simulation (sim.RunPooledContext). It is a seam
-	// the robustness tests override to inject deterministic per-cell
-	// failures, and the pool tests to run on fresh state.
-	simFn func(context.Context, sim.Config, *sim.Kernel, *sim.Arena) (sim.Result, error)
-
-	// arenas pools per-run simulator state across the sweep's cells
-	// (sim.Arena): an executing simulation takes one arena, runs with it,
-	// and returns it, so there are at most as many arenas as simulations
-	// executing at once (Workers per runner or session), each reused by
-	// whichever cell executes next. Arenas self-invalidate on failed runs,
-	// making the recycle unconditional.
-	arenas *sync.Pool
+	// simFn executes one simulation (sim.RunContext). It is a seam the
+	// robustness tests override to inject deterministic per-cell failures.
+	simFn func(context.Context, sim.Config, *sim.Kernel) (sim.Result, error)
 
 	// store is the optional on-disk second cache tier (Options.Store): a
 	// memoization miss consults it before simulating, and successful runs
@@ -127,10 +118,9 @@ func evict(mu *sync.Mutex, m map[string]*cacheEntry, key string, e *cacheEntry) 
 // runtime.GOMAXPROCS(0)).
 func NewRunner(opts Options) *Runner {
 	sh := &shared{
-		simFn:  sim.RunPooledContext,
-		arenas: &sync.Pool{New: func() interface{} { return sim.NewArena() }},
-		store:  opts.Store,
-		cache:  make(map[string]*cacheEntry),
+		simFn: sim.RunContext,
+		store: opts.Store,
+		cache: make(map[string]*cacheEntry),
 	}
 	if opts.Faults != nil {
 		sh.simFn = faultWrap(opts.Faults, sh.simFn)
@@ -169,14 +159,14 @@ func newRunner(opts Options, sh *shared) *Runner {
 
 // Session returns a runner for one request's worth of work — a
 // duploserved sweep — on r's ground truth. The session shares r's exact-
-// result memo, disk store, simulator-state pool and simulate function
-// (fault wrapper included), so a cell that r, or any other session of
-// it, already resolved is a memo hit: no store read, no simulation. It
-// owns everything scoped to the request: ctx cancels its simulations,
-// progress (nil = none) receives its progress lines, and it has its own
-// Workers pool slots, its own counters, and its own predictor state — its
-// calibration is loaded or fitted on first use like a fresh runner's, and
-// its predicted cells never cross into r or another session.
+// result memo, disk store and simulate function (fault wrapper included),
+// so a cell that r, or any other session of it, already resolved is a
+// memo hit: no store read, no simulation. It owns everything scoped to
+// the request: ctx cancels its simulations, progress (nil = none)
+// receives its progress lines, and it has its own Workers pool slots, its
+// own counters, and its own predictor state — its calibration is loaded
+// or fitted on first use like a fresh runner's, and its predicted cells
+// never cross into r or another session.
 func (r *Runner) Session(ctx context.Context, progress func(string)) *Runner {
 	opts := r.opts
 	opts.Context, opts.Verbose, opts.Progress = ctx, progress != nil, progress
@@ -190,8 +180,8 @@ func (r *Runner) Session(ctx context.Context, progress func(string)) *Runner {
 // error path (problem documents, failed-run eviction, crash accounting) is
 // exercised without ever crashing a server goroutine. Nil Faults never
 // reaches here; the production simFn is untouched.
-func faultWrap(f SimFaultInjector, next func(context.Context, sim.Config, *sim.Kernel, *sim.Arena) (sim.Result, error)) func(context.Context, sim.Config, *sim.Kernel, *sim.Arena) (sim.Result, error) {
-	return func(ctx context.Context, cfg sim.Config, k *sim.Kernel, ar *sim.Arena) (sim.Result, error) {
+func faultWrap(f SimFaultInjector, next func(context.Context, sim.Config, *sim.Kernel) (sim.Result, error)) func(context.Context, sim.Config, *sim.Kernel) (sim.Result, error) {
+	return func(ctx context.Context, cfg sim.Config, k *sim.Kernel) (sim.Result, error) {
 		if d := f.SimDelay(k.Name); d > 0 {
 			t := time.NewTimer(d)
 			select {
@@ -212,7 +202,7 @@ func faultWrap(f SimFaultInjector, next func(context.Context, sim.Config, *sim.K
 				Err:    ferr,
 			}
 		}
-		return next(ctx, cfg, k, ar)
+		return next(ctx, cfg, k)
 	}
 }
 
@@ -356,11 +346,7 @@ func (r *Runner) RunShared(ctx context.Context, k *sim.Kernel, cfg sim.Config) (
 
 	r.sem <- struct{}{}
 	r.execs.Add(1)
-	ar := r.arenas.Get().(*sim.Arena)
-	e.res, e.err = r.simFn(ctx, cfg, k, ar)
-	// Unconditional recycle: a failed run leaves the arena marked dirty,
-	// and the next run through it rebuilds instead of reusing.
-	r.arenas.Put(ar)
+	e.res, e.err = r.simFn(ctx, cfg, k)
 	<-r.sem
 	if e.err != nil {
 		// Evict before closing done: once waiters wake, the failed key

@@ -86,11 +86,11 @@ func TestSessionCancelIsolated(t *testing.T) {
 	opts := QuickOptions()
 	opts.Workers = 2
 	r := NewRunner(opts)
-	r.simFn = func(ctx context.Context, cfg sim.Config, k *sim.Kernel, ar *sim.Arena) (sim.Result, error) {
+	r.simFn = func(ctx context.Context, cfg sim.Config, k *sim.Kernel) (sim.Result, error) {
 		if err := ctx.Err(); err != nil {
 			return sim.Result{}, &sim.SimError{Phase: sim.PhaseCancelled, Reason: "cancelled", Err: err}
 		}
-		return stubSimFn(ctx, cfg, k, ar)
+		return stubSimFn(ctx, cfg, k)
 	}
 	l := detLayers(t)[0]
 

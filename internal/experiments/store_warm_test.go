@@ -89,7 +89,7 @@ func TestStoreTierSkipsFailedRuns(t *testing.T) {
 	opts.Store = st
 	r := NewRunner(opts)
 	calls := 0
-	r.simFn = func(context.Context, sim.Config, *sim.Kernel, *sim.Arena) (sim.Result, error) {
+	r.simFn = func(context.Context, sim.Config, *sim.Kernel) (sim.Result, error) {
 		calls++
 		if calls == 1 {
 			return sim.Result{}, errors.New("injected failure")
@@ -118,7 +118,7 @@ func TestStoreTierSkipsFailedRuns(t *testing.T) {
 
 	// A fresh runner over the same store serves the retried result warm.
 	r2 := NewRunner(opts)
-	r2.simFn = func(context.Context, sim.Config, *sim.Kernel, *sim.Arena) (sim.Result, error) {
+	r2.simFn = func(context.Context, sim.Config, *sim.Kernel) (sim.Result, error) {
 		t.Error("warm hit still simulated")
 		return sim.Result{}, nil
 	}
@@ -139,7 +139,7 @@ func TestStoreTierBypassedWhenTracing(t *testing.T) {
 	opts := QuickOptions()
 	opts.Store = st
 	r := NewRunner(opts)
-	r.simFn = func(context.Context, sim.Config, *sim.Kernel, *sim.Arena) (sim.Result, error) {
+	r.simFn = func(context.Context, sim.Config, *sim.Kernel) (sim.Result, error) {
 		return sim.Result{Stats: sim.Stats{Cycles: 11}}, nil
 	}
 	k, err := sim.NewConvKernel("store-traced", hammerLayer)
@@ -170,7 +170,7 @@ func TestRunSharedReturnsMemoEntry(t *testing.T) {
 	opts.Store = st
 	r := NewRunner(opts)
 	calls := 0
-	r.simFn = func(context.Context, sim.Config, *sim.Kernel, *sim.Arena) (sim.Result, error) {
+	r.simFn = func(context.Context, sim.Config, *sim.Kernel) (sim.Result, error) {
 		calls++
 		if calls == 1 {
 			return sim.Result{}, errors.New("injected failure")
@@ -202,7 +202,7 @@ func TestRunSharedReturnsMemoEntry(t *testing.T) {
 
 	// A fresh runner over the same store: a store hit, then a memo hit.
 	r2 := NewRunner(opts)
-	r2.simFn = func(context.Context, sim.Config, *sim.Kernel, *sim.Arena) (sim.Result, error) {
+	r2.simFn = func(context.Context, sim.Config, *sim.Kernel) (sim.Result, error) {
 		t.Error("warm hit still simulated")
 		return sim.Result{}, nil
 	}

@@ -3,8 +3,7 @@
 // the oracle LHB's tag store (internal/core). Each is a map from a 64-bit
 // key to one small integer that the cycle loop consults on every memory
 // access; a flat slot array probes in place where a Go map hashes through
-// its runtime, and Reset keeps the storage for the next run (sim.Arena's
-// reuse contract).
+// its runtime.
 package flat
 
 import "math/bits"
@@ -13,8 +12,8 @@ import "math/bits"
 // map[uint64]int64 minus iteration order, which no caller relies on. It
 // uses linear probing with backward-shift deletion, so there are no
 // tombstones and a lookup never walks past an empty slot. Storage grows by
-// doubling, keeping at most half the slots full; nothing else allocates,
-// and Reset keeps the storage. The zero value is an empty table.
+// doubling, keeping at most half the slots full; nothing else allocates.
+// The zero value is an empty table.
 //
 // A Table is not safe for concurrent use.
 type Table struct {
@@ -103,12 +102,6 @@ func (t *Table) DeleteFunc(del func(k uint64, v int64) bool) {
 
 // Len returns the number of entries.
 func (t *Table) Len() int { return t.n }
-
-// Reset removes every entry, keeping the storage.
-func (t *Table) Reset() {
-	clear(t.slots)
-	t.n = 0
-}
 
 // removeAt empties the used slot i, then shifts later members of its probe
 // run back into the hole, so every remaining key is still reachable from

@@ -21,7 +21,7 @@ func check(tb testing.TB, step int, t *Table, want map[uint64]int64) {
 // TestTableMatchesMap drives a Table and a map[uint64]int64 through the
 // same random operations — over a small key space so probe runs collide,
 // wrap and are deleted from the middle — and requires identical contents
-// after every step, including after Reset reuses the storage.
+// after every step.
 func TestTableMatchesMap(t *testing.T) {
 	wide := make([]uint64, 300)
 	for i, r := 0, rand.New(rand.NewSource(2)); i < len(wide); i++ {
@@ -54,17 +54,12 @@ func TestTableMatchesMap(t *testing.T) {
 						t.Fatalf("step %d: Get(%#x) = %d, %v; want %d, %v", step, k, got, ok, w, wok)
 					}
 				default:
-					if r.Intn(4) == 0 {
-						tab.Reset()
-						clear(want)
-					} else {
-						cut := r.Int63n(1000)
-						del := func(_ uint64, v int64) bool { return v < cut }
-						tab.DeleteFunc(del)
-						for k, v := range want {
-							if del(k, v) {
-								delete(want, k)
-							}
+					cut := r.Int63n(1000)
+					del := func(_ uint64, v int64) bool { return v < cut }
+					tab.DeleteFunc(del)
+					for k, v := range want {
+						if del(k, v) {
+							delete(want, k)
 						}
 					}
 				}
@@ -75,13 +70,12 @@ func TestTableMatchesMap(t *testing.T) {
 }
 
 // TestTableAllocsPerAccess: once the storage has grown, lookups, updates,
-// inserts, deletes and sweeps allocate nothing, and Reset keeps the storage.
+// inserts, deletes and sweeps allocate nothing.
 func TestTableAllocsPerAccess(t *testing.T) {
 	var tab Table
 	for k := uint64(0); k < 1000; k++ {
 		tab.Set(k*128, int64(k))
 	}
-	tab.Reset()
 	allocs := testing.AllocsPerRun(100, func() {
 		for k := uint64(0); k < 1000; k++ {
 			tab.Set(k*128, int64(k))

@@ -192,8 +192,9 @@ func finishedJobFootprint(t *testing.T, req func(i int) RunRequest) int64 {
 	batch() // the first job simulates the cell; the rest share its result
 
 	const n = 5000
-	// Two collections each time: the first only moves the runner's pooled
-	// simulator state to the pool's victim cache, the second frees it.
+	// Two collections each time: the first only moves what sync.Pools hold
+	// (encoding/json's encoder states) to their victim caches, the second
+	// frees it.
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()

@@ -63,8 +63,8 @@ func (s *Server) handleSweepList(w http.ResponseWriter, _ *http.Request) {
 // handleSweep runs one whole figure/ablation and streams progress as
 // NDJSON. Each sweep runs on a session of the daemon's shared runner
 // (experiments.Runner.Session): its context, progress sink, worker slots,
-// counters and predictor state belong to this response, while the memo,
-// disk store and simulator-state pool are the daemon's. Cells a job or an
+// counters and predictor state belong to this response, while the memo
+// and disk store are the daemon's. Cells a job or an
 // earlier sweep already resolved are memo hits (mem_hits), cells only the
 // store holds are store hits, and nothing is re-simulated.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {

@@ -33,19 +33,6 @@ func (p Policy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// ParsePolicy parses a CLI/table policy name.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "rr", "round-robin":
-		return RoundRobin, nil
-	case "jsq":
-		return JoinShortestQueue, nil
-	case "least", "least-loaded":
-		return LeastLoaded, nil
-	}
-	return 0, fmt.Errorf("serving: unknown routing policy %q (want rr, jsq, or least)", s)
-}
-
 // Policies lists every routing policy in presentation order.
 func Policies() []Policy { return []Policy{RoundRobin, JoinShortestQueue, LeastLoaded} }
 
@@ -285,10 +272,6 @@ type sim struct {
 	// not yet completed requests; the integral accumulates depth*dt.
 	inSystem      int
 	depthIntegral float64
-
-	// depthArena backs the per-sample Depths slices in chunks, so a long
-	// sampled run costs one allocation per ~1k samples instead of one each.
-	depthArena []int
 
 	// topDone is set while a handler runs on the event at the heap's top,
 	// until its first push takes that spent slot (see Run).
@@ -540,7 +523,7 @@ func (s *sim) complete(ci int) {
 // sample records one queue-depth observation and schedules the next while
 // inside the horizon.
 func (s *sim) sample() {
-	depths := s.allocDepths(len(s.chips))
+	depths := make([]int, len(s.chips))
 	total := 0
 	for i := range s.chips {
 		depths[i] = len(s.chips[i].queue) + len(s.chips[i].batch)
@@ -550,21 +533,4 @@ func (s *sim) sample() {
 	if next := s.now + s.cfg.SampleEveryNanos; next <= s.cfg.HorizonNanos {
 		s.push(event{at: next, kind: evSample})
 	}
-}
-
-// allocDepths carves an n-int slice out of the sample arena, refilling the
-// arena in whole chunks. The carved slices are retained by QueueSamples in
-// the finished Metrics, so the memory is live either way — chunking only
-// batches the allocator traffic.
-func (s *sim) allocDepths(n int) []int {
-	if len(s.depthArena) < n {
-		chunk := 1024 * n
-		if chunk < 4096 {
-			chunk = 4096
-		}
-		s.depthArena = make([]int, chunk)
-	}
-	d := s.depthArena[:n:n]
-	s.depthArena = s.depthArena[n:]
-	return d
 }

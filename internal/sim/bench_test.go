@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"testing"
 
 	"duplo/internal/conv"
@@ -44,35 +43,6 @@ func BenchmarkSimDuplo(b *testing.B) {
 	var imp float64
 	for i := 0; i < b.N; i++ {
 		res, err := Run(cfg, k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		imp = res.LHBHitRate()
-	}
-	b.ReportMetric(100*imp, "hit_rate_%")
-}
-
-// BenchmarkSimDuploPooled is BenchmarkSimDuplo through one reused Arena —
-// the steady-state cost of a sweep cell once the pool is warm.
-func BenchmarkSimDuploPooled(b *testing.B) {
-	k, err := NewConvKernel("bench", testLayer)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := testConfig()
-	cfg.MaxCTAs = 8
-	cfg.Duplo = true
-	cfg.DetectCfg.LHB = duplo.DefaultLHBConfig()
-	ar := NewArena()
-	ctx := context.Background()
-	if _, err := RunPooledContext(ctx, cfg, k, ar); err != nil {
-		b.Fatal(err) // warm the arena outside the timed region
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var imp float64
-	for i := 0; i < b.N; i++ {
-		res, err := RunPooledContext(ctx, cfg, k, ar)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -24,18 +24,10 @@ type cacheWay struct {
 	lru int64
 }
 
-// cacheGeometry is the derived shape of a cacheArray — split out so the
-// arena's fits() check can recompute it without allocating an array.
-type cacheGeometry struct {
-	sets      int
-	ways      int
-	lineShift uint
-}
-
-// newGeometry derives the array shape for capacityBytes. The set count is
-// forced to a power of two (rounding down) so indexing is a mask, as in
-// the hardware.
-func newGeometry(capacityBytes, lineBytes, ways int) cacheGeometry {
+// newCacheArray builds an array for capacityBytes with the given geometry.
+// The set count is forced to a power of two (rounding down) so indexing is
+// a mask, as in the hardware.
+func newCacheArray(capacityBytes, lineBytes, ways int) *cacheArray {
 	lines := capacityBytes / lineBytes
 	if lines < ways {
 		ways = lines
@@ -48,21 +40,11 @@ func newGeometry(capacityBytes, lineBytes, ways int) cacheGeometry {
 		sets = 1
 	}
 	sets = 1 << (bits.Len(uint(sets)) - 1)
-	return cacheGeometry{
+	return &cacheArray{
 		sets:      sets,
 		ways:      ways,
 		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
-	}
-}
-
-// newCacheArray builds an array for capacityBytes with the given geometry.
-func newCacheArray(capacityBytes, lineBytes, ways int) *cacheArray {
-	g := newGeometry(capacityBytes, lineBytes, ways)
-	return &cacheArray{
-		sets:      g.sets,
-		ways:      g.ways,
-		lineShift: g.lineShift,
-		lines:     make([]cacheWay, g.sets*g.ways),
+		lines:     make([]cacheWay, sets*ways),
 	}
 }
 

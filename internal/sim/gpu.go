@@ -29,14 +29,6 @@ type Result struct {
 	PredictedErr float64
 }
 
-// CyclesPerCTA normalizes runtime for cross-configuration comparison.
-func (r Result) CyclesPerCTA() float64 {
-	if r.SimulatedCTAs == 0 {
-		return 0
-	}
-	return float64(r.Cycles) / float64(r.SimulatedCTAs)
-}
-
 // gpuState drives the whole-chip simulation: CTA dispatch and the global
 // cycle loop.
 type gpuState struct {
@@ -237,24 +229,8 @@ var testFaultInjection func(*gpuState)
 // RunContext is Run with cancellation: the cycle loop polls ctx cheaply
 // (every cancelPollMask+1 ticks) and returns a *SimError (PhaseCancelled
 // or PhaseDeadline) when it fires. cfg.WallTimeout, when set, is applied
-// as a deadline on top of ctx.
+// as a deadline on top of ctx. Every run builds its own state.
 func RunContext(ctx context.Context, cfg Config, k *Kernel) (Result, error) {
-	return runWithArena(ctx, cfg, k, nil)
-}
-
-// RunPooledContext is RunContext drawing per-run state from ar (see Arena):
-// the memory system, SM states and detection units of the previous run
-// through the same arena are reset and reused instead of rebuilt wherever
-// their geometry fits. The Result is byte-identical to RunContext — the
-// pool_test.go differential matrix asserts it across clock modes, LHB
-// geometries and Duplo modes — and errors leave the arena dirty, so a
-// failed run's half-mutated state is never reused. The arena must not be
-// shared by concurrent runs.
-func RunPooledContext(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result, error) {
-	return runWithArena(ctx, cfg, k, ar)
-}
-
-func runWithArena(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -266,17 +242,8 @@ func runWithArena(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result
 		ctx, cancel = context.WithTimeout(ctx, cfg.WallTimeout)
 		defer cancel()
 	}
-	reuse := false
-	if ar != nil {
-		reuse = ar.acquire()
-	}
 	var merged Stats
-	var mem *memSystem
-	if reuse && ar.mem != nil && ar.mem.reset(cfg, &merged) {
-		mem = ar.mem
-	} else {
-		mem = newMemSystem(cfg, &merged)
-	}
+	mem := newMemSystem(cfg, &merged)
 	g := &gpuState{
 		cfg:       cfg,
 		kernel:    k,
@@ -289,30 +256,11 @@ func runWithArena(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result
 	}
 	g.sms = make([]*smState, cfg.SimSMs)
 	for i := range g.sms {
-		var sm *smState
-		if reuse && i < len(ar.sms) && ar.sms[i] != nil && ar.sms[i].fits(cfg) {
-			sm = ar.sms[i]
-			sm.reset(cfg, mem, g)
-		} else {
-			sm = newSM(cfg, i, mem, g)
-		}
+		sm := newSM(cfg, i, mem, g)
 		if cfg.Duplo {
-			var du *duplo.DetectionUnit
-			if reuse && i < len(ar.dus) && ar.dus[i] != nil && ar.dus[i].Fits(cfg.DetectCfg, cfg.MaxWarpsPerSM, 32) {
-				du = ar.dus[i]
-				du.Reset()
-			} else {
-				var err error
-				du, err = duplo.NewDetectionUnit(cfg.DetectCfg, cfg.MaxWarpsPerSM, 32)
-				if err != nil {
-					return Result{}, err
-				}
-			}
-			if ar != nil {
-				for len(ar.dus) <= i {
-					ar.dus = append(ar.dus, nil)
-				}
-				ar.dus[i] = du
+			du, err := duplo.NewDetectionUnit(cfg.DetectCfg, cfg.MaxWarpsPerSM, 32)
+			if err != nil {
+				return Result{}, err
 			}
 			if k.Conv != nil {
 				if err := du.Program(*k.Conv, k.Layout); err != nil {
@@ -322,20 +270,6 @@ func runWithArena(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result
 			sm.du = du
 		}
 		g.sms[i] = sm
-	}
-	if ar != nil {
-		// Cache the built components regardless of how this run ends; the
-		// clean flag (set only on success) gates whether the next run may
-		// reset-and-reuse them. Slots beyond this run's SimSMs keep their
-		// cached state for a later, wider run.
-		ar.mem = mem
-		for i, sm := range g.sms {
-			if i < len(ar.sms) {
-				ar.sms[i] = sm
-			} else {
-				ar.sms = append(ar.sms, sm)
-			}
-		}
 	}
 	// Initial dispatch.
 	for _, sm := range g.sms {
@@ -369,9 +303,6 @@ func runWithArena(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result
 		merged.Add(sm.stats)
 	}
 	merged.Cycles = now
-	if ar != nil {
-		ar.clean = true
-	}
 	return Result{
 		Stats:         merged,
 		SimulatedCTAs: g.totalCTAs,

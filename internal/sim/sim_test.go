@@ -169,7 +169,7 @@ func TestLineSpan(t *testing.T) {
 // TestCacheArrayLRU pins replacement on a hand-made 2-set, 2-way case,
 // then replays random line streams over several geometries — direct-mapped,
 // 8 ways, the L2's 24 ways, and a single set — against a per-set recency
-// list, with the array reset between streams as sim.Arena resets it.
+// list, on a fresh array for each stream.
 func TestCacheArrayLRU(t *testing.T) {
 	c := newCacheArray(4*128, 128, 2)                  // 2 sets x 2 ways
 	a, b, d := uint64(0), uint64(2*128), uint64(4*128) // same set (stride 2 lines)
@@ -199,9 +199,8 @@ func TestCacheArrayLRU(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(1))
 	for _, g := range geometries {
-		c := newCacheArray(g.capacity, 128, g.ways)
 		for stream := 0; stream < 3; stream++ {
-			c.reset()
+			c := newCacheArray(g.capacity, 128, g.ways)
 			recency := make([][]uint64, c.sets) // per set, least recent first
 			span := 2*c.sets*c.ways + 3
 			for i := 0; i < 5000; i++ {

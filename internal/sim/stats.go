@@ -115,15 +115,6 @@ func (s Stats) DumpSummary() string {
 // LHBHitRate is the aggregate LHB hit rate (Fig. 10).
 func (s Stats) LHBHitRate() float64 { return s.LHB.HitRate() }
 
-// EliminatedFraction is the fraction of tensor-core-loads removed (§V-B
-// discusses the oracle eliminating ~76% of them).
-func (s Stats) EliminatedFraction() float64 {
-	if s.TensorLoads == 0 {
-		return 0
-	}
-	return float64(s.LoadsEliminated) / float64(s.TensorLoads)
-}
-
 // ServiceBreakdown returns the fraction of load line-equivalents served by
 // each level (Fig. 11).
 func (s Stats) ServiceBreakdown() [serviceLevels]float64 {
@@ -140,6 +131,3 @@ func (s Stats) ServiceBreakdown() [serviceLevels]float64 {
 	}
 	return out
 }
-
-// DRAMBytes returns the read traffic volume in bytes given the line size.
-func (s Stats) DRAMBytes(lineBytes int) int64 { return s.DRAMLines * int64(lineBytes) }

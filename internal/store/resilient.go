@@ -217,20 +217,20 @@ func (r *resilience) backoff(attempt int) {
 // failures degraded to clean misses (the caller re-simulates — the memo
 // tier and the simulator are the availability story, the disk is only
 // warmth).
-func (r *resilience) lookup(key string) (Record, bool, error) {
+func (r *resilience) lookup(key string) (Record, bool) {
 	ok, probe := r.allow()
 	if !ok {
 		r.mu.Lock()
 		r.degradedGets++
 		r.mu.Unlock()
-		return Record{}, false, nil
+		return Record{}, false
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		rec, hit, err := r.s.lookup(key)
 		if err == nil {
 			r.outcome(nil, probe)
-			return rec, hit, nil
+			return rec, hit
 		}
 		lastErr = err
 		if attempt >= r.cfg.Retries {
@@ -239,7 +239,7 @@ func (r *resilience) lookup(key string) (Record, bool, error) {
 		r.backoff(attempt)
 	}
 	r.outcome(lastErr, probe)
-	return Record{}, false, nil
+	return Record{}, false
 }
 
 // put is the resilient Put: breaker-gated, retried; an open breaker skips

@@ -181,24 +181,17 @@ func (s *Store) SetFaults(h FaultInjector) { s.faults = h }
 // With resilience enabled (EnableResilience) transient errors are retried
 // and an open breaker degrades to a clean miss.
 func (s *Store) Get(key string) (Record, bool) {
-	rec, ok, _ := s.Lookup(key)
-	return rec, ok
-}
-
-// Lookup is Get with the transient-failure channel exposed: a non-nil
-// error means the disk op itself failed (I/O error, injected fault) and
-// the record — if any — is still intact on disk, so the caller may retry.
-// ok is false whenever err is non-nil. With resilience enabled the retry
-// happens internally and err is always nil (an exhausted retry budget or
-// an open breaker degrade to a miss, tallied in the breaker snapshot).
-func (s *Store) Lookup(key string) (Record, bool, error) {
 	if s.res != nil {
 		return s.res.lookup(key)
 	}
-	return s.lookup(key)
+	rec, ok, _ := s.lookup(key)
+	return rec, ok
 }
 
-// lookup is the raw single-attempt lookup.
+// lookup is the raw single-attempt lookup. A non-nil error means the disk
+// op itself failed (I/O error, injected fault) and the record — if any —
+// is still intact on disk, so the caller may retry; resilience does. ok is
+// false whenever err is non-nil.
 func (s *Store) lookup(key string) (Record, bool, error) {
 	path := s.Path(key)
 	if s.faults != nil {
