@@ -33,18 +33,17 @@
 // far, and exits non-zero. -max-cycles bounds each simulation's cycle
 // count as a livelock backstop (see DESIGN.md §5 "Robustness").
 //
-// -predict engages the calibrated analytical fast path (DESIGN.md §9):
-// "predict-all" synthesizes every in-envelope cell from the per-family
-// linear model, "hybrid" predicts only low-uncertainty, non-headline
-// cells (bounded by -predict-bound) and simulates the rest. The first
-// predicted run fits (or loads) the calibration; `-exp calibrate`
-// refits explicitly and prints the fit report with the gate verdict.
-// Predicted cells are marked "~" and each affected table carries a
-// max-predicted-error footer; predictions are never written to -store:
+// -predict predict-all engages the calibrated analytical fast path
+// (DESIGN.md §9): every in-envelope cell whose family passed the
+// calibration gate is synthesized from the per-family linear model, and
+// the rest simulate. The first predicted run fits (or loads) the
+// calibration; `-exp calibrate` refits explicitly and prints the fit
+// report with the gate verdict. Predicted cells are marked "~" and each
+// affected table carries a max-predicted-error footer; predictions are
+// never written to -store:
 //
 //	duploexp -exp calibrate -store ~/.cache/duplo   # fit + persist + report
 //	duploexp -exp fig9 -predict predict-all -store ~/.cache/duplo
-//	duploexp -exp fig9 -predict hybrid -predict-bound 0.10
 //
 // -exp cluster runs the discrete-event cluster serving experiment
 // (DESIGN.md §10): N chips serving Poisson request traffic whose
@@ -129,7 +128,6 @@ func main() {
 
 func run(opts experiments.Options) error {
 	if *verbose {
-		opts.Verbose = true
 		opts.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  "+s) }
 	}
 	r := experiments.NewRunner(opts)

@@ -19,10 +19,10 @@
 //	curl localhost:8080/statsz                      # includes the predictor block
 //	curl -X POST localhost:8080/v1/calibrate        # fit/load the predictor calibration
 //
-// With -predict hybrid (or predict-all), sweeps serve low-uncertainty
-// cells from the calibrated analytical model (DESIGN.md §9) instead of
-// cycle-sim; predicted cells are "~"-marked in tables and counted in
-// /statsz. POST /v1/calibrate (add ?force=1 to refit) pre-warms the
+// With -predict predict-all, sweeps serve every in-envelope cell whose
+// family passed the calibration gate from the calibrated analytical model
+// (DESIGN.md §9) instead of cycle-sim; predicted cells are "~"-marked in
+// tables and counted in /statsz. POST /v1/calibrate (add ?force=1 to refit) pre-warms the
 // calibration; jobs submitted via /v1/runs always run real cycle-sim.
 //
 // -max-cycles and -wall-timeout set the default per-job budgets (each job
@@ -86,7 +86,7 @@ var (
 	// Store resilience (requires -store).
 	breakerThreshold = flag.Int("breaker-threshold", 5, "consecutive store failures that trip the circuit breaker")
 	breakerOpen      = flag.Duration("breaker-open", 5*time.Second, "open-breaker dwell before a half-open probe")
-	storeRetries     = flag.Int("store-retries", 2, "retries per transient store failure (exponential backoff + jitter)")
+	storeRetries     = flag.Int("store-retries", 2, "retries per transient store failure (exponential backoff + jitter; 0 = none)")
 
 	// Deterministic fault injection — test/chaos tooling, never set in
 	// production (internal/fault; an empty spec arms nothing).
@@ -114,7 +114,6 @@ func main() {
 
 func run(ctx context.Context, opts experiments.Options) error {
 	if *verbose {
-		opts.Verbose = true
 		opts.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  "+s) }
 	}
 

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	duplo "duplo/internal/core"
-	"duplo/internal/predictor"
 	"duplo/internal/sim"
 	"duplo/internal/store"
 	"duplo/internal/workload"
@@ -34,8 +33,7 @@ type Options struct {
 	// Workers bounds concurrently executing simulations (0 = GOMAXPROCS;
 	// 1 = the serial path).
 	Workers int
-	// Verbose prints progress lines through Progress (stdout when nil).
-	Verbose  bool
+	// Progress receives one line per progress message (nil = silent).
 	Progress func(string)
 	// Context cancels in-flight and future simulations (nil = Background).
 	// A cancelled sweep still returns its table with "ERR" cells for the
@@ -61,19 +59,11 @@ type Options struct {
 	Store *store.Store
 
 	// Predictor selects the calibrated analytical fast path (DESIGN.md §9):
-	// PredictorOff (the zero value) keeps every run cycle-sim ground
-	// truth; PredictAll predicts every gate-passing cell inside the
-	// calibrated envelope; PredictHybrid predicts only cells whose
-	// calibrated uncertainty is strictly below PredictBound and never the
-	// cells feeding headline ratios. Predicted results are marked
+	// PredictorOff (or the empty zero value) keeps every run cycle-sim
+	// ground truth; PredictAll predicts every gate-passing cell inside the
+	// calibrated envelope. Predicted results are marked
 	// (sim.Result.Predicted, "~" in tables) and never persisted.
 	Predictor PredictorMode
-	// PredictBound is hybrid mode's uncertainty bound: a family predicts
-	// only when its calibrated MAPE is strictly below this. The zero value
-	// never predicts — hybrid output is then byte-identical to
-	// PredictorOff by construction. (DefaultOptions, and so the CLI
-	// flags, set it to the gate threshold, predictor.GateMAPE.)
-	PredictBound float64
 	// CalibrationPath overrides where the calibration artifact is
 	// persisted and loaded ("" = <store dir>/calibration/<keyhash>.json
 	// when a store is attached, else in-memory only).
@@ -104,10 +94,9 @@ type SimFaultInjector interface {
 }
 
 // DefaultOptions returns the standard experiment scale, with the
-// predictor off and hybrid mode's bound at the calibration gate's MAPE.
-// The binaries' flags default to it (RunFlags).
+// predictor off. The binaries' flags default to it (RunFlags).
 func DefaultOptions() Options {
-	return Options{MaxCTAs: 96, SimSMs: 4, Predictor: PredictorOff, PredictBound: predictor.GateMAPE}
+	return Options{MaxCTAs: 96, SimSMs: 4, Predictor: PredictorOff}
 }
 
 // QuickOptions returns a reduced scale for benches and smoke tests.

@@ -30,14 +30,11 @@ func (r *Runner) Fig9() (*report.Table, error) {
 	errs := r.fanOutAll(len(layers)*len(LHBPoints), func(idx int) error {
 		li, pi := idx/len(LHBPoints), idx%len(LHBPoints)
 		l := layers[li]
-		// The 1024-entry column is the paper's chosen design point — the
-		// headline ratio hybrid mode never predicts.
-		headline := LHBPoints[pi].Cfg == DefaultLHB
-		base, err := r.baseline(l, headline)
+		base, err := r.Baseline(l)
 		if err != nil {
 			return err
 		}
-		dup, err := r.duplo(l, LHBPoints[pi].Cfg, headline)
+		dup, err := r.Duplo(l, LHBPoints[pi].Cfg)
 		if err != nil {
 			return err
 		}
@@ -66,8 +63,7 @@ func (r *Runner) Fig10() (*report.Table, error) {
 	}
 	errs := r.fanOutAll(len(layers)*len(LHBPoints), func(idx int) error {
 		li, pi := idx/len(LHBPoints), idx%len(LHBPoints)
-		headline := LHBPoints[pi].Cfg == DefaultLHB
-		dup, err := r.duplo(layers[li], LHBPoints[pi].Cfg, headline)
+		dup, err := r.Duplo(layers[li], LHBPoints[pi].Cfg)
 		if err != nil {
 			return err
 		}
@@ -102,14 +98,11 @@ func (r *Runner) Fig11() (*report.Table, error) {
 		preds[i] = -1
 	}
 	errs := r.forEachLayer(layers, func(i int, l workload.Layer) error {
-		// Every cell here feeds the §V-D headline deltas, so the whole
-		// figure is headline: hybrid mode always simulates it, predict-all
-		// predicts (and marks) it.
-		base, err := r.baseline(l, true)
+		base, err := r.Baseline(l)
 		if err != nil {
 			return err
 		}
-		dup, err := r.duplo(l, DefaultLHB, true)
+		dup, err := r.Duplo(l, DefaultLHB)
 		if err != nil {
 			return err
 		}
@@ -201,15 +194,13 @@ func (r *Runner) Fig12() (*report.Table, error) {
 	errs := r.fanOutAll(len(layers)*len(ways), func(idx int) error {
 		li, wi := idx/len(ways), idx%len(ways)
 		l := layers[li]
-		// Direct-mapped is the recommended design (§V-E) — the headline
-		// column. Associative cells are outside the calibrated envelope
-		// anyway (the fit never saw Ways > 1), so they always simulate.
-		headline := ways[wi] == 1
-		base, err := r.baseline(l, headline)
+		// Associative cells are outside the calibrated envelope (the fit
+		// never saw Ways > 1), so they always simulate.
+		base, err := r.Baseline(l)
 		if err != nil {
 			return err
 		}
-		dup, err := r.duplo(l, duplo.LHBConfig{Entries: 1024, Ways: ways[wi]}, headline)
+		dup, err := r.Duplo(l, duplo.LHBConfig{Entries: 1024, Ways: ways[wi]})
 		if err != nil {
 			return err
 		}

@@ -38,9 +38,9 @@ func TestRunFlags(t *testing.T) {
 		if !reflect.DeepEqual(opts, DefaultOptions()) {
 			t.Errorf("empty args resolve to %+v, want DefaultOptions %+v", opts, DefaultOptions())
 		}
-		if opts.MaxCTAs != 96 || opts.SimSMs != 4 || opts.Predictor != PredictorOff || opts.PredictBound != 0.15 {
-			t.Errorf("defaults %d CTAs, %d SMs, predictor %q, bound %v; want 96, 4, off, 0.15",
-				opts.MaxCTAs, opts.SimSMs, opts.Predictor, opts.PredictBound)
+		if opts.MaxCTAs != 96 || opts.SimSMs != 4 || opts.Predictor != PredictorOff {
+			t.Errorf("defaults %d CTAs, %d SMs, predictor %q; want 96, 4, off",
+				opts.MaxCTAs, opts.SimSMs, opts.Predictor)
 		}
 		// The config duploexp, duplosim and duploserved built from their
 		// own flag defaults before they shared these flags.
@@ -73,14 +73,14 @@ func TestRunFlags(t *testing.T) {
 		storeDir := filepath.Join(dir, "store")
 		mem := filepath.Join(dir, "mem.pprof")
 		opts, err := parseRunFlags(t, "-ctas", "12", "-sms", "2", "-workers", "3",
-			"-store", storeDir, "-predict", "hybrid", "-predict-bound", "0.1",
+			"-store", storeDir, "-predict", "predict-all",
 			"-calibration", "calib.json", "-memprofile", mem,
 			"-max-cycles", "5000", "-crash-dir", dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if opts.MaxCTAs != 12 || opts.SimSMs != 2 || opts.Workers != 3 ||
-			opts.Predictor != PredictHybrid || opts.PredictBound != 0.1 ||
+			opts.Predictor != PredictAll ||
 			opts.CalibrationPath != "calib.json" || opts.MaxCycles != 5000 || opts.CrashDumpDir != dir {
 			t.Errorf("flags resolved to %+v", opts)
 		}

@@ -214,23 +214,18 @@ func TestRunCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestProgressSink: Verbose alone must emit (regression: progress used to
-// require both Verbose and Progress, so -v printed nothing), and the sink
-// must be safe for concurrent workers.
+// TestProgressSink: a nil Progress makes progress a no-op, a set one
+// receives every line, and the sink is safe for concurrent workers.
 func TestProgressSink(t *testing.T) {
-	// Verbose with no Progress func defaults to a stdout sink.
-	r := NewRunner(Options{Verbose: true})
-	if r.sink == nil {
-		t.Fatal("Verbose without Progress must default the sink to stdout")
+	q := NewRunner(Options{})
+	if q.sink != nil {
+		t.Fatal("sink must be nil when Progress is unset")
 	}
-	// Not verbose: no sink, progress is a no-op.
-	if q := NewRunner(Options{Progress: func(string) {}}); q.sink != nil {
-		t.Fatal("sink must be nil when Verbose is unset")
-	}
-	// Verbose with an explicit func: every concurrent emission arrives.
+	q.progress("dropped") // must not panic
+	// Progress set: every concurrent emission arrives.
 	var mu sync.Mutex
 	var got []string
-	v := NewRunner(Options{Verbose: true, Workers: 8,
+	v := NewRunner(Options{Workers: 8,
 		Progress: func(s string) { mu.Lock(); got = append(got, s); mu.Unlock() }})
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {

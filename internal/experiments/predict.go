@@ -11,6 +11,7 @@ import (
 	"duplo/internal/predictor"
 	"duplo/internal/report"
 	"duplo/internal/sim"
+	"duplo/internal/store"
 	"duplo/internal/workload"
 )
 
@@ -22,20 +23,13 @@ import (
 type PredictorMode string
 
 const (
-	// PredictorOff (the zero value) disables prediction: every run is
-	// cycle-sim ground truth. The pre-predictor behavior.
+	// PredictorOff disables prediction, as the empty zero value does:
+	// every run is cycle-sim ground truth. The pre-predictor behavior.
 	PredictorOff PredictorMode = "off"
 	// PredictAll predicts every cell inside the calibrated envelope whose
 	// family passed the gate; only out-of-envelope or uncalibrated cells
 	// simulate. The fast path for whole-figure regeneration.
 	PredictAll PredictorMode = "predict-all"
-	// PredictHybrid predicts only cells whose calibrated uncertainty
-	// (family MAPE) is strictly below Options.PredictBound, and never the
-	// cells feeding a table's headline ratios — those always simulate.
-	// With PredictBound 0 nothing predicts and output is byte-identical
-	// to PredictorOff (the safe-by-construction contract, gated by
-	// TestHybridBoundZeroByteIdentical).
-	PredictHybrid PredictorMode = "hybrid"
 )
 
 // parsePredictorMode resolves a -predict flag value ("" = off).
@@ -45,27 +39,21 @@ func parsePredictorMode(s string) (PredictorMode, error) {
 		return PredictorOff, nil
 	case PredictAll:
 		return PredictAll, nil
-	case PredictHybrid:
-		return PredictHybrid, nil
 	}
-	return PredictorOff, fmt.Errorf("unknown predictor mode %q (off | predict-all | hybrid)", s)
-}
-
-// predictorMode resolves the configured mode's zero value.
-func (r *Runner) predictorMode() PredictorMode {
-	if r.opts.Predictor == "" {
-		return PredictorOff
-	}
-	return r.opts.Predictor
+	return PredictorOff, fmt.Errorf("unknown predictor mode %q (off | predict-all)", s)
 }
 
 // CalibrationKey fingerprints what a calibration artifact is valid for:
-// predictor format version, the resolved simulator configuration, and the
-// workload/LHB-point set the fit runs against. Any drift in these is a
-// different key, so a stale artifact can never be silently reused.
+// predictor format version, the store format version, the resolved
+// simulator configuration, and the workload/LHB-point set the fit runs
+// against. Any drift in these is a different key, so a stale artifact can
+// never be silently reused. The store version is in the key because a
+// change to simulated results bumps it (cmd/duploexp's golden test holds
+// the two together) without touching anything else here: without it, a
+// fit of the old model would keep loading under an unchanged key.
 func (r *Runner) CalibrationKey() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "calib/v%d|%s", predictor.FormatVersion, r.key("base", r.opts.config()))
+	fmt.Fprintf(&b, "calib/v%d|store/v%d|%s", predictor.FormatVersion, store.FormatVersion, r.key("base", r.opts.config()))
 	for _, l := range r.opts.layers() {
 		b.WriteString("|")
 		b.WriteString(l.FullName())
@@ -286,16 +274,12 @@ func (r *Runner) inEnvelope(cfg sim.Config) bool {
 }
 
 // runTier is the predict-aware run path: fall through to exact cycle
-// simulation unless the mode, the envelope, the family's calibration gate
-// and (in hybrid) the uncertainty bound all clear. The decision is a pure
-// function of (options, kernel, config, headline) — never of timing or
-// cache state — so tables stay byte-identical at any worker count.
-func (r *Runner) runTier(ctx context.Context, k *sim.Kernel, cfg sim.Config, headline bool) (sim.Result, error) {
-	mode := r.predictorMode()
-	if mode == PredictorOff || !r.inEnvelope(cfg) {
-		return r.RunCtx(ctx, k, cfg)
-	}
-	if mode == PredictHybrid && (headline || r.opts.PredictBound <= 0) {
+// simulation unless the mode, the envelope and the family's calibration
+// gate all clear. The decision is a pure function of (options, kernel,
+// config) — never of timing or cache state — so tables stay byte-identical
+// at any worker count.
+func (r *Runner) runTier(ctx context.Context, k *sim.Kernel, cfg sim.Config) (sim.Result, error) {
+	if r.opts.Predictor != PredictAll || !r.inEnvelope(cfg) {
 		return r.RunCtx(ctx, k, cfg)
 	}
 	cal, err := r.ensureCalibration(ctx)
@@ -304,11 +288,7 @@ func (r *Runner) runTier(ctx context.Context, k *sim.Kernel, cfg sim.Config, hea
 		// so this is one fallback decision, not one per cell).
 		return r.RunCtx(ctx, k, cfg)
 	}
-	m, ok := cal.Model(k)
-	if !ok {
-		return r.RunCtx(ctx, k, cfg)
-	}
-	if mode == PredictHybrid && !(m.Uncertainty() < r.opts.PredictBound) {
+	if _, ok := cal.Model(k); !ok {
 		return r.RunCtx(ctx, k, cfg)
 	}
 
@@ -400,9 +380,11 @@ func predNote(t *report.Table, pred []float64) {
 }
 
 // Exact run variants: always cycle-sim ground truth regardless of
-// Options.Predictor. The ablations, the energy/area model and the
-// calibration fit itself use these — their tables are documented as
-// ground-truth-only (DESIGN.md §9).
+// Options.Predictor. The ablations and the energy/area model use these,
+// because their configs lie outside the calibrated envelope or their
+// tables are documented as ground-truth-only (DESIGN.md §9); perfbench
+// reads its grid's ground truth back through BaselineExact and
+// DuploExact.
 
 // RunExact simulates k under cfg through the memo/store tiers, never the
 // predictor.

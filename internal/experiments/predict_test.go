@@ -51,47 +51,6 @@ func TestCalibrationGate(t *testing.T) {
 	}
 }
 
-// TestHybridBoundZeroByteIdentical is the safe-by-construction contract:
-// hybrid mode with PredictBound 0 must render tables byte-identical to
-// predictor-off, because nothing is ever predicted.
-func TestHybridBoundZeroByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	base := tinyOptions()
-	exact := NewRunner(base)
-
-	hyb := base
-	hyb.Predictor = PredictHybrid
-	hyb.PredictBound = 0
-	hybrid := NewRunner(hyb)
-
-	// fig14 is omitted: it sweeps every network regardless of the layer
-	// restriction (minutes even at the tiny scale), and its predicted-cell
-	// marking goes through the same markPred/predNote helpers fig9-13
-	// exercise. Its bound-0 behavior is structural (runTier short-circuits
-	// to RunCtx before touching predictor state).
-	for _, id := range []string{"fig9", "fig10", "fig11", "fig12", "fig13"} {
-		se, _ := exact.Sweep(id)
-		sh, _ := hybrid.Sweep(id)
-		te, err := se.Run()
-		if err != nil {
-			t.Fatalf("%s exact: %v", id, err)
-		}
-		th, err := sh.Run()
-		if err != nil {
-			t.Fatalf("%s hybrid: %v", id, err)
-		}
-		if te.String() != th.String() {
-			t.Errorf("%s: hybrid bound 0 differs from exact:\n--- exact ---\n%s\n--- hybrid ---\n%s",
-				id, te, th)
-		}
-	}
-	if n := hybrid.Predicted(); n != 0 {
-		t.Errorf("hybrid bound 0 predicted %d cells, want 0", n)
-	}
-}
-
 // TestPredictAllMarksCells checks the visibility contract: under
 // predict-all every predicted cell carries the "~" marker and the table
 // grows the max-predicted-error footer, with no ERR cells.
@@ -126,51 +85,6 @@ func TestPredictAllMarksCells(t *testing.T) {
 	t.Logf("cache stats: %+v", cs)
 	if cs.Predicted == 0 {
 		t.Error("CacheStats.Predicted is zero after a predict-all sweep")
-	}
-}
-
-// TestHybridNeverPredictsHeadline: hybrid mode must leave the headline
-// cells (the 1024-entry column feeding Fig. 9's Gmean) as ground truth
-// even with a permissive bound.
-func TestHybridNeverPredictsHeadline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	opts := tinyOptions()
-	opts.Predictor = PredictHybrid
-	opts.PredictBound = 1e9 // everything below the bound
-	r := NewRunner(opts)
-	tb, err := r.Fig9()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The 1024-entry column is the headline; its cells must be unmarked.
-	var csv strings.Builder
-	tb.CSV(&csv)
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("fig9 too short:\n%s", csv.String())
-	}
-	col := -1
-	for i, h := range strings.Split(lines[0], ",") {
-		if h == "1024-entry" {
-			col = i
-		}
-	}
-	if col < 0 {
-		t.Fatalf("no 1024-entry column:\n%s", csv.String())
-	}
-	for _, ln := range lines[1:] {
-		cells := strings.Split(ln, ",")
-		if len(cells) <= col {
-			continue
-		}
-		if c := cells[col]; strings.HasSuffix(c, predictedMark) {
-			t.Errorf("headline cell %q is predicted:\n%s", c, tb)
-		}
-	}
-	if r.Predicted() == 0 {
-		t.Error("hybrid with a permissive bound predicted nothing — non-headline cells should predict")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -31,7 +30,7 @@ type Runner struct {
 	opts    Options
 	workers int
 	sem     chan struct{}   // bounds concurrently executing simulations
-	sink    *report.Sink    // nil unless Verbose
+	sink    *report.Sink    // nil unless Options.Progress is set
 	ctx     context.Context // cancels in-flight and future simulations
 
 	// shared is the ground truth this runner has in common with every
@@ -134,14 +133,6 @@ func newRunner(opts Options, sh *shared) *Runner {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	var sink *report.Sink
-	if opts.Verbose {
-		if opts.Progress != nil {
-			sink = report.NewSink(opts.Progress)
-		} else {
-			sink = report.NewWriterSink(os.Stdout)
-		}
-	}
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -150,7 +141,7 @@ func newRunner(opts Options, sh *shared) *Runner {
 		opts:    opts,
 		workers: w,
 		sem:     make(chan struct{}, w),
-		sink:    sink,
+		sink:    report.NewSink(opts.Progress),
 		ctx:     ctx,
 		shared:  sh,
 		preds:   make(map[string]*cacheEntry),
@@ -169,7 +160,7 @@ func newRunner(opts Options, sh *shared) *Runner {
 // never cross into r or another session.
 func (r *Runner) Session(ctx context.Context, progress func(string)) *Runner {
 	opts := r.opts
-	opts.Context, opts.Verbose, opts.Progress = ctx, progress != nil, progress
+	opts.Context, opts.Progress = ctx, progress
 	return newRunner(opts, r.shared)
 }
 
@@ -249,7 +240,7 @@ func (r *Runner) CacheStats() CacheStats {
 func (r *Runner) Store() *store.Store { return r.store }
 
 // progress emits one formatted progress line through the concurrency-safe
-// sink (no-op unless Options.Verbose).
+// sink (no-op unless Options.Progress is set).
 func (r *Runner) progress(format string, args ...interface{}) {
 	if r.sink != nil {
 		r.sink.Println(fmt.Sprintf(format, args...))
@@ -280,7 +271,7 @@ func (r *Runner) key(kernelName string, cfg sim.Config) string {
 // see runTier in predict.go for the exact decision. RunExact always
 // simulates.
 func (r *Runner) Run(k *sim.Kernel, cfg sim.Config) (sim.Result, error) {
-	return r.runTier(r.ctx, k, cfg, false)
+	return r.runTier(r.ctx, k, cfg)
 }
 
 // RunCtx is the exact-tier Run with an explicit context governing this
@@ -428,27 +419,17 @@ func LayerKernel(l workload.Layer) (*sim.Kernel, error) {
 	return sim.NewConvKernel(l.FullName(), l.GemmParams())
 }
 
-// Baseline runs the layer without Duplo (predict-aware; headline marks
-// cells feeding a table's headline ratios, which hybrid mode always
-// simulates).
+// Baseline runs the layer without Duplo (predict-aware).
 func (r *Runner) Baseline(l workload.Layer) (sim.Result, error) {
-	return r.baseline(l, false)
-}
-
-func (r *Runner) baseline(l workload.Layer, headline bool) (sim.Result, error) {
 	k, err := LayerKernel(l)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	return r.runTier(r.ctx, k, r.opts.config(), headline)
+	return r.runTier(r.ctx, k, r.opts.config())
 }
 
 // Duplo runs the layer with the given LHB configuration (predict-aware).
 func (r *Runner) Duplo(l workload.Layer, lhb duplo.LHBConfig) (sim.Result, error) {
-	return r.duplo(l, lhb, false)
-}
-
-func (r *Runner) duplo(l workload.Layer, lhb duplo.LHBConfig, headline bool) (sim.Result, error) {
 	k, err := LayerKernel(l)
 	if err != nil {
 		return sim.Result{}, err
@@ -456,5 +437,5 @@ func (r *Runner) duplo(l workload.Layer, lhb duplo.LHBConfig, headline bool) (si
 	cfg := r.opts.config()
 	cfg.Duplo = true
 	cfg.DetectCfg.LHB = lhb
-	return r.runTier(r.ctx, k, cfg, headline)
+	return r.runTier(r.ctx, k, cfg)
 }

@@ -323,7 +323,9 @@ type FamilyModel struct {
 }
 
 // Uncertainty is the expected relative error carried on predictions from
-// this family: the worse of the two gated subset MAPEs.
+// this family: the worse of the two gated subset MAPEs. It sets every
+// predicted Result's PredictedErr, which the tables' max-predicted-error
+// footer reads, and duploserved's /statsz reports it per family.
 func (m *FamilyModel) Uncertainty() float64 {
 	return math.Max(m.Off.MAPE, m.On.MAPE)
 }

@@ -26,14 +26,6 @@ func NewSink(emit func(string)) *Sink {
 	return &Sink{emit: emit}
 }
 
-// NewWriterSink builds a sink that writes one line per message to w.
-func NewWriterSink(w io.Writer) *Sink {
-	if w == nil {
-		return nil
-	}
-	return &Sink{emit: func(s string) { fmt.Fprintln(w, s) }}
-}
-
 // Println emits one message; safe for concurrent use, no-op on a nil sink.
 func (s *Sink) Println(msg string) {
 	if s == nil {

@@ -87,17 +87,7 @@ func TestSinkConcurrent(t *testing.T) {
 	}
 	var nilSink *Sink
 	nilSink.Println("dropped") // must not panic
-	if NewSink(nil) != nil || NewWriterSink(nil) != nil {
-		t.Error("nil-backed sinks must be nil (no-op)")
-	}
-}
-
-func TestWriterSink(t *testing.T) {
-	var b strings.Builder
-	s := NewWriterSink(&b)
-	s.Println("a")
-	s.Println("b")
-	if b.String() != "a\nb\n" {
-		t.Errorf("writer sink output %q", b.String())
+	if NewSink(nil) != nil {
+		t.Error("a nil-backed sink must be nil (no-op)")
 	}
 }

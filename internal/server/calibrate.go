@@ -10,10 +10,8 @@ import (
 // PredictorStatsZ is the /statsz predictor block: the configured mode and
 // the installed calibration's per-family fit quality.
 type PredictorStatsZ struct {
-	// Mode is the daemon's configured predictor mode (off | predict-all |
-	// hybrid); Bound is the hybrid uncertainty bound.
-	Mode  string  `json:"mode"`
-	Bound float64 `json:"bound,omitempty"`
+	// Mode is the daemon's configured predictor mode (off | predict-all).
+	Mode string `json:"mode"`
 	// Calibrated reports whether a calibration is installed on the shared
 	// runner (via POST /v1/calibrate or a predicted run); GatePass whether
 	// every fitted family cleared the gate.
@@ -37,10 +35,7 @@ type FamilyStatsZ struct {
 
 // predictorStatsZ snapshots the shared runner's predictor state.
 func (s *Server) predictorStatsZ() *PredictorStatsZ {
-	p := &PredictorStatsZ{
-		Mode:  string(s.opts.Predictor),
-		Bound: s.opts.PredictBound,
-	}
+	p := &PredictorStatsZ{Mode: string(s.opts.Predictor)}
 	if p.Mode == "" {
 		p.Mode = string(experiments.PredictorOff)
 	}

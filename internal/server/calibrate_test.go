@@ -27,7 +27,7 @@ func predictOpts(t *testing.T) experiments.Options {
 // TestServerCalibrateAndStatsz pins the daemon's predictor surface:
 // /statsz reports the configured mode before any calibration, POST
 // /v1/calibrate fits and returns the per-family report, and /statsz then
-// shows the installed calibration. A hybrid sweep afterwards serves
+// shows the installed calibration. A predict-all sweep afterwards serves
 // predicted cells (counted in its done event and in SweepPredicted),
 // loading the artifact the calibrate call persisted instead of refitting.
 func TestServerCalibrateAndStatsz(t *testing.T) {
@@ -39,17 +39,14 @@ func TestServerCalibrateAndStatsz(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := predictOpts(t)
-	opts.Predictor = experiments.PredictHybrid
-	// Accept any uncertainty: whether tiny-scale fits clear 15% is the
-	// experiments gate test's business, not this routing test's.
-	opts.PredictBound = 1e9
+	opts.Predictor = experiments.PredictAll
 	_, hs := newTestServer(t, opts, st)
 
 	var sz StatsZ
 	if code := getJSON(t, hs.URL+"/statsz", &sz); code != http.StatusOK {
 		t.Fatalf("statsz: status %d", code)
 	}
-	if sz.Predictor == nil || sz.Predictor.Mode != string(experiments.PredictHybrid) {
+	if sz.Predictor == nil || sz.Predictor.Mode != string(experiments.PredictAll) {
 		t.Fatalf("statsz predictor before calibrate: %+v", sz.Predictor)
 	}
 	if sz.Predictor.Calibrated {
@@ -101,13 +98,13 @@ func TestServerCalibrateAndStatsz(t *testing.T) {
 		t.Fatal(err)
 	}
 	if done == nil || done.Predicted == 0 {
-		t.Fatalf("hybrid sweep done event %+v, want predicted cells", done)
+		t.Fatalf("predict-all sweep done event %+v, want predicted cells", done)
 	}
 	// The calibrate call already simulated (and stored) the calibration
 	// grid; the sweep's non-predicted cells must come back warm, not
 	// re-simulated.
 	if done.Execs != 0 {
-		t.Fatalf("hybrid sweep after calibrate executed %d simulations, want 0 (warm store + predictor)", done.Execs)
+		t.Fatalf("predict-all sweep after calibrate executed %d simulations, want 0 (warm store + predictor)", done.Execs)
 	}
 
 	if code := getJSON(t, hs.URL+"/statsz", &sz); code != http.StatusOK {

@@ -17,7 +17,7 @@ func BenchmarkClusterEventLoop(b *testing.B) {
 		Table:        testTable(),
 		Classes: []Class{
 			{Name: "fast", Arrival: Exponential{Rate: 20000}, SLONanos: 20_000_000},
-			{Name: "slow", Arrival: Gamma{Shape: 2, Rate: 2000}, SLONanos: 50_000_000},
+			{Name: "slow", Arrival: Exponential{Rate: 1000}, SLONanos: 50_000_000},
 		},
 	}
 	var events int64

@@ -61,19 +61,6 @@ type Config struct {
 	// QueueCap bounds each chip's queue; an arrival routed to a full chip
 	// is rejected (admission control). 0 = unbounded.
 	QueueCap int
-	// RetryAfterNanos, when positive, models shed clients that honor a
-	// Retry-After hint instead of vanishing: a queue-full offer backs off
-	// this long and re-offers itself, up to MaxRetries times, before it
-	// finally counts as Rejected. 0 (the default) keeps the original
-	// immediate-rejection semantics and byte-identical metrics. Latency
-	// for an eventually-admitted retry is measured from its first offer,
-	// so retry queueing shows up in the percentiles like any other wait.
-	RetryAfterNanos int64
-	// MaxRetries bounds re-offers per shed request (meaningful only with
-	// RetryAfterNanos > 0). The invariant Offered == Admitted + Rejected
-	// holds at any setting: retries are re-offers of the same request,
-	// counted separately in Retried.
-	MaxRetries int
 	// HorizonNanos is how long arrivals are generated. The loop then
 	// drains: every admitted request completes and is measured.
 	HorizonNanos int64
@@ -105,12 +92,6 @@ func (c Config) Validate() error {
 	}
 	if c.QueueCap < 0 {
 		return fmt.Errorf("serving: QueueCap must be non-negative, got %d", c.QueueCap)
-	}
-	if c.RetryAfterNanos < 0 {
-		return fmt.Errorf("serving: RetryAfterNanos must be non-negative, got %d", c.RetryAfterNanos)
-	}
-	if c.MaxRetries < 0 {
-		return fmt.Errorf("serving: MaxRetries must be non-negative, got %d", c.MaxRetries)
 	}
 	if c.Table == nil {
 		return fmt.Errorf("serving: Config.Table is required")
@@ -161,24 +142,20 @@ type chip struct {
 }
 
 // event kinds, in tie-break order: at equal timestamps, completions
-// precede arrivals precede retried offers precede samples (a freed chip
-// sees the queue state before a simultaneous arrival routes, fresh
-// traffic beats backed-off traffic to a contested slot, and samples
-// observe the settled state). Remaining ties break on sequence number —
-// insertion order — so the schedule is a pure function of the config.
+// precede arrivals precede samples (a freed chip sees the queue state
+// before a simultaneous arrival routes, and samples observe the settled
+// state). Remaining ties break on sequence number — insertion order — so
+// the schedule is a pure function of the config.
 const (
 	evComplete = iota
 	evArrival
-	evRetry
 	evSample
 )
 
 type event struct {
 	at   int64
 	seq  int64
-	arr  int64 // evRetry: the retried request's original offer time
-	who  int32 // chip (evComplete) or class (evArrival/evRetry)
-	aux  int32 // evRetry: re-offers taken so far
+	who  int32 // chip (evComplete) or class (evArrival)
 	kind uint8
 }
 
@@ -325,8 +302,6 @@ func Run(cfg Config) (*Metrics, error) {
 		switch ev.kind {
 		case evArrival:
 			s.arrive(int(ev.who))
-		case evRetry:
-			s.offer(int(ev.who), ev.arr, ev.aux)
 		case evComplete:
 			s.complete(int(ev.who))
 		case evSample:
@@ -392,33 +367,22 @@ func nanosOf(seconds float64) int64 {
 	return n
 }
 
-// arrive counts one fresh arrival, keeps the class's stream going, and
-// offers the request to the cluster.
+// arrive counts one arrival, keeps the class's stream going, routes the
+// request and applies admission control: a request routed to a full
+// queue is shed.
 func (s *sim) arrive(class int) {
 	s.scheduleArrival(class, s.now)
-	s.m.Classes[class].Offered++
-	s.offer(class, s.now, 0)
-}
-
-// offer routes one offered request — fresh or backing off after a shed —
-// and applies admission control. arrival is the request's first offer
-// time (its latency clock); retries is how many re-offers it has taken.
-func (s *sim) offer(class int, arrival int64, retries int32) {
 	cm := &s.m.Classes[class]
+	cm.Offered++
 	ci := s.route()
 	c := &s.chips[ci]
 	if s.cfg.QueueCap > 0 && len(c.queue) >= s.cfg.QueueCap {
-		if s.cfg.RetryAfterNanos > 0 && int(retries) < s.cfg.MaxRetries {
-			cm.Retried++
-			s.push(event{at: s.now + s.cfg.RetryAfterNanos, arr: arrival, kind: evRetry, who: int32(class), aux: retries + 1})
-			return
-		}
 		cm.Rejected++
 		return
 	}
 	cm.Admitted++
 	s.inSystem++
-	c.queue = append(c.queue, request{class: class, arrival: arrival})
+	c.queue = append(c.queue, request{class: class, arrival: s.now})
 	c.queuedEstNanos += s.unit[class]
 	if d := len(c.queue); d > c.maxDepth {
 		c.maxDepth = d

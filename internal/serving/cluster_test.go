@@ -275,76 +275,6 @@ func TestClusterConfigValidation(t *testing.T) {
 	}
 }
 
-// TestClusterRetryModeling pins the shed-retry extension: with
-// RetryAfterNanos off the metrics are unchanged (the zero value is the
-// original semantics); with it on, shed requests re-offer themselves,
-// Retried counts the re-offers, the Offered == Admitted + Rejected
-// invariant survives, and retries recover traffic a hard shed would have
-// dropped. The retried run stays deterministic across repeats.
-func TestClusterRetryModeling(t *testing.T) {
-	overload := func() Config {
-		cfg := testConfig(RoundRobin, 9)
-		cfg.QueueCap = 2
-		cfg.Classes[0].Arrival = Exponential{Rate: 20000} // far past capacity
-		return cfg
-	}
-
-	// RetryAfterNanos=0 disables the whole mechanism: byte-identical to a
-	// config that never heard of retries, MaxRetries notwithstanding.
-	base, err := Run(overload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Retried != 0 {
-		t.Fatalf("RetryAfterNanos=0 run retried %d times", base.Retried)
-	}
-	off := overload()
-	off.MaxRetries = 5 // inert without a backoff
-	moff, err := Run(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canonical(t, base) != canonical(t, moff) {
-		t.Error("MaxRetries with RetryAfterNanos=0 changed the metrics")
-	}
-
-	cfg := overload()
-	cfg.RetryAfterNanos = 500_000 // 0.5 ms backoff
-	cfg.MaxRetries = 3
-	m, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Retried == 0 {
-		t.Fatal("overloaded retry run took no retries")
-	}
-	if m.Offered != m.Admitted+m.Rejected {
-		t.Errorf("conservation broke: offered %d != admitted %d + rejected %d",
-			m.Offered, m.Admitted, m.Rejected)
-	}
-	if m.Completed != m.Admitted {
-		t.Errorf("drain broke: completed %d != admitted %d", m.Completed, m.Admitted)
-	}
-	if m.Offered != base.Offered {
-		t.Errorf("retries changed the offered stream: %d vs %d", m.Offered, base.Offered)
-	}
-	var classRetried int64
-	for _, c := range m.Classes {
-		classRetried += c.Retried
-	}
-	if classRetried != m.Retried {
-		t.Errorf("class retries sum to %d, total says %d", classRetried, m.Retried)
-	}
-
-	m2, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canonical(t, m) != canonical(t, m2) {
-		t.Error("retried run is not deterministic across repeats")
-	}
-}
-
 // gapSeq is a stub Dist that returns fixed inter-arrival gaps in order. A
 // draw past the end fails the test: the stream should have ended.
 type gapSeq struct {

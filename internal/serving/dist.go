@@ -6,9 +6,15 @@ import (
 )
 
 // Dist is an inter-arrival time distribution. Sample returns one draw in
-// seconds; Mean is the analytical expectation (used by tests and by load
-// derivations); Validate rejects degenerate parameters with a typed
+// seconds; Mean is the analytical expectation (the statistics test checks
+// Sample against it); Validate rejects degenerate parameters with a typed
 // *ParamError before any sampling happens.
+//
+// Exponential is the one production implementation. Dist stays an
+// interface because perfbench's cluster workload type-asserts
+// Class.Arrival back to Exponential to read its rate, which only compiles
+// against an interface, and because tests drive the event loop with
+// scripted gap sequences through it.
 type Dist interface {
 	Sample(r *RNG) float64
 	Mean() float64
@@ -20,8 +26,8 @@ type Dist interface {
 // is not. It is a typed error so callers (flag parsing, the HTTP surface)
 // can distinguish configuration mistakes from simulation failures.
 type ParamError struct {
-	Dist  string  // "exponential", "gamma", "weibull"
-	Param string  // "rate", "shape", "scale"
+	Dist  string  // "exponential"
+	Param string  // "rate"
 	Value float64 // the offending value
 }
 
@@ -49,76 +55,3 @@ func (d Exponential) Sample(r *RNG) float64 {
 }
 
 func (d Exponential) String() string { return fmt.Sprintf("poisson(rate=%g)", d.Rate) }
-
-// Gamma inter-arrivals with the given shape and rate: mean Shape/Rate,
-// CV 1/sqrt(Shape). Shape > 1 models smoother-than-Poisson traffic,
-// Shape < 1 burstier.
-type Gamma struct {
-	Shape float64
-	Rate  float64
-}
-
-func (d Gamma) Validate() error {
-	if !(d.Shape > 0) {
-		return &ParamError{Dist: "gamma", Param: "shape", Value: d.Shape}
-	}
-	if !(d.Rate > 0) {
-		return &ParamError{Dist: "gamma", Param: "rate", Value: d.Rate}
-	}
-	return nil
-}
-
-func (d Gamma) Mean() float64 { return d.Shape / d.Rate }
-
-// Sample draws with the Marsaglia–Tsang squeeze method; shapes below one
-// use the standard boosting identity Gamma(a) = Gamma(a+1) * U^(1/a).
-func (d Gamma) Sample(r *RNG) float64 {
-	shape, boost := d.Shape, 1.0
-	if shape < 1 {
-		boost = math.Pow(r.open(), 1/shape)
-		shape++
-	}
-	dd := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*dd)
-	for {
-		x := r.Norm()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.open()
-		if math.Log(u) < 0.5*x*x+dd-dd*v+dd*math.Log(v) {
-			return boost * dd * v / d.Rate
-		}
-	}
-}
-
-func (d Gamma) String() string { return fmt.Sprintf("gamma(shape=%g,rate=%g)", d.Shape, d.Rate) }
-
-// Weibull inter-arrivals with the given shape and scale: mean
-// Scale*Γ(1+1/Shape). Shape < 1 gives heavy-tailed bursts, shape > 1
-// clusters arrivals around the scale.
-type Weibull struct {
-	Shape float64
-	Scale float64
-}
-
-func (d Weibull) Validate() error {
-	if !(d.Shape > 0) {
-		return &ParamError{Dist: "weibull", Param: "shape", Value: d.Shape}
-	}
-	if !(d.Scale > 0) {
-		return &ParamError{Dist: "weibull", Param: "scale", Value: d.Scale}
-	}
-	return nil
-}
-
-func (d Weibull) Mean() float64 { return d.Scale * math.Gamma(1+1/d.Shape) }
-
-// Sample draws by inverse transform: Scale * (-ln U)^(1/Shape).
-func (d Weibull) Sample(r *RNG) float64 {
-	return d.Scale * math.Pow(-math.Log(r.open()), 1/d.Shape)
-}
-
-func (d Weibull) String() string { return fmt.Sprintf("weibull(shape=%g,scale=%g)", d.Shape, d.Scale) }

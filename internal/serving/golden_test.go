@@ -13,10 +13,9 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/cluster.golden")
 
 // goldenConfigs is the DES golden's matrix: every policy, with and
-// without a queue cap, with and without shed retries, each run with
-// queue sampling and batch spans on over three classes that draw from
-// the three arrival distributions. The load is past what the cap holds
-// in bursts, so the capped configs shed and the retrying ones re-offer.
+// without a queue cap, without and with batching, each run with queue
+// sampling and batch spans on over three Poisson classes. The load is
+// past what the cap holds in bursts, so the capped configs shed.
 func goldenConfigs() []Config {
 	tbl := testTable()
 	tbl.Set("mid", 1, 1_000_000)
@@ -25,14 +24,12 @@ func goldenConfigs() []Config {
 	var cfgs []Config
 	for _, policy := range Policies() {
 		for _, queueCap := range []int{0, 4} {
-			for _, retry := range []int64{0, 300_000} {
+			for _, maxBatch := range []int{1, 8} {
 				cfgs = append(cfgs, Config{
 					Chips:            4,
 					Policy:           policy,
-					MaxBatch:         8,
+					MaxBatch:         maxBatch,
 					QueueCap:         queueCap,
-					RetryAfterNanos:  retry,
-					MaxRetries:       2,
 					HorizonNanos:     200_000_000, // 200 ms
 					Seed:             int64(len(cfgs) + 1),
 					Table:            tbl,
@@ -40,8 +37,8 @@ func goldenConfigs() []Config {
 					RecordSpans:      true,
 					Classes: []Class{
 						{Name: "fast", Arrival: Exponential{Rate: 6000}, SLONanos: 5_000_000},
-						{Name: "mid", Arrival: Gamma{Shape: 0.5, Rate: 1000}, SLONanos: 10_000_000},
-						{Name: "slow", Arrival: Weibull{Shape: 0.7, Scale: 0.002}, SLONanos: 20_000_000},
+						{Name: "mid", Arrival: Exponential{Rate: 2000}, SLONanos: 10_000_000},
+						{Name: "slow", Arrival: Exponential{Rate: 400}, SLONanos: 20_000_000},
 					},
 				})
 			}
@@ -63,13 +60,13 @@ func TestClusterGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&b, "== policy=%s cap=%d retry=%d seed=%d\n", cfg.Policy, cfg.QueueCap, cfg.RetryAfterNanos, cfg.Seed)
+		fmt.Fprintf(&b, "== policy=%s cap=%d batch=%d seed=%d\n", cfg.Policy, cfg.QueueCap, cfg.MaxBatch, cfg.Seed)
 		fmt.Fprintln(&b, m.Summary())
 		fmt.Fprintf(&b, "makespan=%d mean_depth=%v max_depth=%d samples=%d spans=%d\n",
 			m.MakespanNanos, m.MeanQueueDepth, m.MaxQueueDepth, len(m.QueueSamples), len(m.BatchSpans))
 		for _, c := range m.Classes {
-			fmt.Fprintf(&b, "%s offered=%d admitted=%d rejected=%d retried=%d completed=%d good=%d p50=%d p95=%d p99=%d max=%d mean=%d\n",
-				c.Name, c.Offered, c.Admitted, c.Rejected, c.Retried, c.Completed, c.Good,
+			fmt.Fprintf(&b, "%s offered=%d admitted=%d rejected=%d completed=%d good=%d p50=%d p95=%d p99=%d max=%d mean=%d\n",
+				c.Name, c.Offered, c.Admitted, c.Rejected, c.Completed, c.Good,
 				c.P50Nanos, c.P95Nanos, c.P99Nanos, c.MaxNanos, c.MeanNanos)
 		}
 		fmt.Fprintf(&b, "sha256=%x\n", sha256.Sum256([]byte(canonical(t, m))))

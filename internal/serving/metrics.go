@@ -17,13 +17,9 @@ import (
 type ClassMetrics struct {
 	Name string `json:"name"`
 
-	Offered  int64 `json:"offered"`
-	Admitted int64 `json:"admitted"`
-	Rejected int64 `json:"rejected"`
-	// Retried counts backed-off re-offers after queue-full sheds
-	// (Config.RetryAfterNanos). Offered == Admitted + Rejected regardless:
-	// a retry re-offers the same request, it is not new traffic.
-	Retried   int64 `json:"retried"`
+	Offered   int64 `json:"offered"`
+	Admitted  int64 `json:"admitted"`
+	Rejected  int64 `json:"rejected"`
 	Completed int64 `json:"completed"`
 	// Good counts completions within the class SLO (all of them when the
 	// SLO is 0).
@@ -67,9 +63,8 @@ type Metrics struct {
 	// horizon whenever anything was still in flight at it).
 	MakespanNanos int64 `json:"makespan_nanos"`
 
-	// Events counts processed DES events (arrivals, retried offers,
-	// completions and samples) — the event-loop throughput denominator
-	// for benches.
+	// Events counts processed DES events (arrivals, completions and
+	// samples) — the event-loop throughput denominator for benches.
 	Events int64 `json:"events"`
 	// BatchedRequests sums formed batch sizes; BatchedRequests/Batches
 	// ratios above 1 mean batching engaged.
@@ -79,7 +74,6 @@ type Metrics struct {
 	Offered   int64 `json:"offered"`
 	Admitted  int64 `json:"admitted"`
 	Rejected  int64 `json:"rejected"`
-	Retried   int64 `json:"retried"`
 	Completed int64 `json:"completed"`
 	Good      int64 `json:"good"`
 
@@ -111,7 +105,7 @@ type Metrics struct {
 // slice after folding it into percentiles; without the pool every run
 // regrows that capacity from scratch (sweeps and benches run thousands of
 // configs back to back). A GC may empty the pool, so allocs/op depends on
-// GC timing (78-87 for BenchmarkClusterEventLoop at -benchtime 5x), which
+// GC timing (68-77 for BenchmarkClusterEventLoop at -benchtime 5x), which
 // scripts/benchcheck.sh's +64 slack absorbs.
 var latencyPool = sync.Pool{New: func() interface{} { return new([]int64) }}
 
@@ -143,7 +137,6 @@ func (m *Metrics) finish(makespan int64) {
 		m.Offered += c.Offered
 		m.Admitted += c.Admitted
 		m.Rejected += c.Rejected
-		m.Retried += c.Retried
 		m.Completed += c.Completed
 		m.Good += c.Good
 		if len(c.latencies) > 0 {
@@ -308,7 +301,7 @@ func (m *Metrics) WriteTimeline(w io.Writer) error {
 // Summary renders the cluster totals as one deterministic line (the
 // determinism tests compare these byte-for-byte).
 func (m *Metrics) Summary() string {
-	return fmt.Sprintf("chips=%d policy=%s seed=%d offered=%d admitted=%d rejected=%d retried=%d completed=%d good=%d goodput=%.3f/s util=%.4f events=%d batches=%d batched=%d",
-		m.Chips, m.Policy, m.Seed, m.Offered, m.Admitted, m.Rejected, m.Retried, m.Completed, m.Good,
+	return fmt.Sprintf("chips=%d policy=%s seed=%d offered=%d admitted=%d rejected=%d completed=%d good=%d goodput=%.3f/s util=%.4f events=%d batches=%d batched=%d",
+		m.Chips, m.Policy, m.Seed, m.Offered, m.Admitted, m.Rejected, m.Completed, m.Good,
 		m.GoodputPerSec, m.MeanUtilization, m.Events, m.Batches, m.BatchedRequests)
 }

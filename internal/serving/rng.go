@@ -12,10 +12,6 @@
 // the latency table (itself byte-identical at any worker count).
 package serving
 
-import (
-	"math"
-)
-
 // RNG is a deterministic splitmix64 pseudo-random generator. It is
 // deliberately not seeded from math/rand: the serving simulator's
 // determinism contract ("same seed ⇒ byte-identical metrics") must not
@@ -23,11 +19,6 @@ import (
 // releases.
 type RNG struct {
 	state uint64
-
-	// Box–Muller produces normals in pairs; the spare is cached so a
-	// normal draw consumes a deterministic number of uniforms.
-	hasSpare bool
-	spare    float64
 }
 
 // splitmix64 advances s and returns the next output of Vigna's
@@ -76,17 +67,3 @@ func (r *RNG) Float64() float64 {
 
 // open returns a uniform sample in (0, 1], safe as a log argument.
 func (r *RNG) open() float64 { return 1 - r.Float64() }
-
-// Norm returns a standard normal sample (Box–Muller).
-func (r *RNG) Norm() float64 {
-	if r.hasSpare {
-		r.hasSpare = false
-		return r.spare
-	}
-	u1 := r.open()
-	u2 := r.Float64()
-	mag := math.Sqrt(-2 * math.Log(u1))
-	r.spare = mag * math.Sin(2*math.Pi*u2)
-	r.hasSpare = true
-	return mag * math.Cos(2*math.Pi*u2)
-}

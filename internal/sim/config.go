@@ -8,9 +8,12 @@
 //     per-warp scoreboards and in-order issue/retire;
 //   - tensor-core pipelines executing warp-granular 16x16x16 MMA steps;
 //   - an LDST unit that splits warp-level wmma.load/store instructions into
-//     32-byte-segment line requests, with L1 port serialization;
-//   - per-SM sectored L1 caches with MSHR merging, a shared L2 slice, and a
-//     bandwidth-limited DRAM behind it;
+//     whole 128-byte line requests, with L1 port serialization;
+//   - per-SM L1 caches whose MSHR table merges misses to one line and has
+//     no capacity limit (only the LDST queue bounds the misses in flight),
+//     a shared L2 slice whose hits cost a fixed L2LatencyCycles with no
+//     bandwidth term, and a bandwidth-limited DRAM behind it. Fills are
+//     whole lines: SectorBytes is validated but not modeled;
 //   - the Duplo detection unit (internal/core) attached to the LDST unit,
 //     looked up in parallel with L1 (§IV of the paper).
 //
@@ -49,8 +52,8 @@ type Config struct {
 	L1LatencyCycles   int // 28 (§V-D)
 	L2LatencyCycles   int // 120 (Table III)
 	DRAMLatencyCycles int // access latency before transfer
-	LineBytes         int // 128-byte lines, 32-byte sectors
-	SectorBytes       int
+	LineBytes         int // 128-byte lines; every request and fill is a whole line
+	SectorBytes       int // 32; validated, but no sector fills are modeled
 
 	// MMA pipeline: a warp-level 16x16x16 MMA step occupies its processing
 	// block for InitiationInterval cycles and completes after Latency.
@@ -73,13 +76,15 @@ type Config struct {
 	// --- Simulation scaling ---
 
 	// SimSMs is the number of SMs actually simulated; the memory system
-	// (L2 capacity, L2/DRAM bandwidth) is sliced proportionally. SMs run
-	// identical CTA mixes, so relative results are preserved while
-	// simulation cost drops by NumSMs/SimSMs.
+	// (L2 capacity, L2/DRAM bandwidth) is sliced proportionally, and
+	// simulation cost drops by NumSMs/SimSMs. The slice moves results:
+	// ResNet/C6's whole grid gains -0.6%, +6.6%, +6.0%, +20.5% and +25.5%
+	// on 2, 4, 8, 16 and 80 SMs (ROADMAP item 1).
 	SimSMs int
-	// MaxCTAs bounds the number of CTAs simulated (0 = whole grid). The
-	// duplicate structure is periodic in M, so a steady-state prefix
-	// preserves hit rates and speedup shape (DESIGN.md §3).
+	// MaxCTAs bounds the number of CTAs simulated (0 = whole grid). A
+	// prefix moves results too: capped at 64 CTAs on 4 SMs, ResNet/C2
+	// gains +37.4% against +31.0% for its whole grid (ROADMAP item 1,
+	// DESIGN.md §3).
 	MaxCTAs int
 
 	// DenseClock ticks every SM on every cycle instead of the default

@@ -34,7 +34,8 @@ const (
 var ErrDegraded = errors.New("circuit breaker open: store degraded to memo-only")
 
 // ResilienceConfig tunes EnableResilience. Zero fields take the defaults
-// noted on each; the zero value is a usable production configuration.
+// noted on each, except Retries, whose zero means no retries; the zero
+// value is a usable production configuration.
 type ResilienceConfig struct {
 	// FailureThreshold is how many consecutive op failures (each already
 	// past its retry budget) trip the breaker. Default 5.
@@ -42,7 +43,8 @@ type ResilienceConfig struct {
 	// OpenFor is the open-state dwell before a half-open probe. Default 5s.
 	OpenFor time.Duration
 	// Retries is how many times a failed op is retried before it counts
-	// as a failure. Default 2 (three attempts total).
+	// as a failure: 0 means one attempt, and negatives count as 0.
+	// duploserved's -store-retries defaults to 2 (three attempts total).
 	Retries int
 	// RetryBase is the backoff base: attempt k sleeps RetryBase<<k scaled
 	// by a uniform jitter in [0.5, 1). Default 10ms.
@@ -64,8 +66,6 @@ func (c *ResilienceConfig) fillDefaults() {
 	}
 	if c.Retries < 0 {
 		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 2
 	}
 	if c.RetryBase <= 0 {
 		c.RetryBase = 10 * time.Millisecond

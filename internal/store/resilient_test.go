@@ -78,11 +78,34 @@ func TestResilientRetryRecovers(t *testing.T) {
 	}
 }
 
+// TestResilientZeroRetries: Retries 0 means no retries. With every read
+// faulted, one lookup makes one read attempt and sleeps no backoff.
+func TestResilientZeroRetries(t *testing.T) {
+	s, in, _, slept := resilientStore(t, "store-read:every=1", 5, 0)
+	if err := s.Put(testKey, testRecord(t)); err != nil {
+		t.Fatal(err)
+	}
+	calls := in.Calls(fault.OpStoreRead)
+	if _, ok := s.Get(testKey); ok {
+		t.Fatal("faulted lookup hit")
+	}
+	if n := in.Calls(fault.OpStoreRead) - calls; n != 1 {
+		t.Errorf("one lookup made %d read attempts, want 1", n)
+	}
+	if len(*slept) != 0 {
+		t.Errorf("took %d backoffs, want 0", len(*slept))
+	}
+	if b := s.Breaker(); b.Retries != 0 || b.ConsecutiveFailures != 1 {
+		t.Errorf("breaker = %+v, want 0 retries and 1 consecutive failure", b)
+	}
+}
+
 // TestResilientBreakerLifecycle drives the full state machine: trip on
 // consecutive failures, degrade while open, half-open after the dwell,
 // re-open on a failed probe, close on a successful one.
 func TestResilientBreakerLifecycle(t *testing.T) {
-	// Every read fails; retries=0 so each lookup is one failure.
+	// Every read fails; retries=0 so each lookup is one attempt and one
+	// failure.
 	s, in, ck, _ := resilientStore(t, "store-read:every=1", 2, 0)
 	if err := s.Put(testKey, testRecord(t)); err != nil {
 		t.Fatal(err)
