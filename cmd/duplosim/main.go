@@ -17,7 +17,8 @@
 // -cpuprofile / -memprofile write pprof profiles of the simulator itself.
 // The run flags shared with duploexp and duploserved build the same run
 // config, so a -store shared with them serves the cells they stored. A
-// -batch run is keyed like Fig. 13's batch sweep ("GAN/C4@b16").
+// -batch run builds the kernel Fig. 13's batch sweep builds ("GAN/C4@b16"),
+// so it shares that sweep's cells.
 //
 // -trace writes a Perfetto/Chrome trace-event JSON timeline of the traced
 // run (load it at https://ui.perfetto.dev) and -metrics-csv a per-interval
@@ -102,8 +103,12 @@ func run(opts experiments.Options) error {
 	cfg := opts.Config()
 
 	fmt.Printf("%s: %v\n", l.FullName(), *k.Conv)
+	simulated := k.TotalCTAs()
+	if cfg.MaxCTAs > 0 {
+		simulated = min(simulated, cfg.MaxCTAs)
+	}
 	fmt.Printf("GEMM %dx%dx%d (padded %dx%dx%d), %d CTAs total, simulating %d on %d SMs\n\n",
-		k.M, k.N, k.K, k.MPad, k.NPad, k.KPad, k.TotalCTAs(), min(opts.MaxCTAs, k.TotalCTAs()), cfg.SimSMs)
+		k.M, k.N, k.K, k.MPad, k.NPad, k.KPad, k.TotalCTAs(), simulated, cfg.SimSMs)
 
 	dcfg := cfg
 	dcfg.Duplo = true
@@ -212,11 +217,4 @@ func printStats(name string, r sim.Result) {
 	b := r.ServiceBreakdown()
 	fmt.Printf("  served by         LHB %.1f%%  L1 %.1f%%  L2 %.1f%%  DRAM %.1f%%\n\n",
 		100*b[sim.ServiceLHB], 100*b[sim.ServiceL1], 100*b[sim.ServiceL2], 100*b[sim.ServiceDRAM])
-}
-
-func min(a, b int) int {
-	if a == 0 || b < a {
-		return b
-	}
-	return a
 }

@@ -91,7 +91,6 @@ func (r *Runner) AblationSharedMem() (*report.Table, error) {
 			return err
 		}
 		k.Variant = v
-		k.Name = fmt.Sprintf("%s@%s", l.FullName(), v)
 		res, err := r.RunExact(k, r.opts.config())
 		if err != nil {
 			return err

@@ -20,12 +20,11 @@ func (r *Runner) networkCycles(layers []workload.Layer, training, duploOn bool) 
 	cfg.DetectCfg.LHB = DefaultLHB
 	var gemms []workload.TrainingGemm
 	for _, l := range layers {
-		if training {
-			gemms = append(gemms, workload.TrainingGemms(l)...)
-		} else {
-			p := l.GemmParams()
-			gemms = append(gemms, workload.TrainingGemm{Name: l.FullName() + "/fwd", Conv: &p})
+		gs := workload.TrainingGemms(l)
+		if !training {
+			gs = gs[:1] // the forward GEMM, which is Fig. 9's cell
 		}
+		gemms = append(gemms, gs...)
 	}
 	cycles := make([]float64, len(gemms))
 	preds := make([]float64, len(gemms))

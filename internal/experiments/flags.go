@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 
 	"duplo/internal/profiling"
 	"duplo/internal/store"
@@ -10,11 +11,12 @@ import (
 // RunFlags declares on fs the run flags that duploexp, duplosim and
 // duploserved share (-ctas, -sms, -workers, -store, -predict,
 // -calibration, -cpuprofile, -memprofile, -max-cycles and -crash-dir),
-// each defaulting to its DefaultOptions value. After
-// fs.Parse, the returned resolve parses -predict, opens the -store
-// directory and starts the -cpuprofile/-memprofile profiles; its stop
-// ends the profiles and writes the heap profile. The caller sets the
-// Options fields its own flags and context decide.
+// each defaulting to its DefaultOptions value. After fs.Parse, the
+// returned resolve rejects a negative -ctas or -workers and an -sms
+// below 1, parses -predict, opens the -store directory and starts the
+// -cpuprofile/-memprofile profiles; its stop ends the profiles and writes
+// the heap profile. The caller sets the Options fields its own flags and
+// context decide.
 func RunFlags(fs *flag.FlagSet) (resolve func() (opts Options, stop func() error, err error)) {
 	o := DefaultOptions()
 	fs.IntVar(&o.MaxCTAs, "ctas", o.MaxCTAs, "max CTAs simulated per kernel (0 = full grid)")
@@ -28,6 +30,17 @@ func RunFlags(fs *flag.FlagSet) (resolve func() (opts Options, stop func() error
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	return func() (Options, func() error, error) {
+		// Options.config() and NewRunner read these values as "use the
+		// default" (TitanVConfig's scale, GOMAXPROCS) for code-built
+		// Options; from a flag they are mistakes.
+		switch {
+		case o.MaxCTAs < 0:
+			return Options{}, nil, fmt.Errorf("-ctas %d: must be >= 0 (0 = full grid)", o.MaxCTAs)
+		case o.SimSMs < 1:
+			return Options{}, nil, fmt.Errorf("-sms %d: must be >= 1", o.SimSMs)
+		case o.Workers < 0:
+			return Options{}, nil, fmt.Errorf("-workers %d: must be >= 0 (0 = GOMAXPROCS)", o.Workers)
+		}
 		mode, err := parsePredictorMode(*predict)
 		if err != nil {
 			return Options{}, nil, err

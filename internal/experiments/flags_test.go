@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -59,6 +60,17 @@ func TestRunFlags(t *testing.T) {
 		}
 		if opts.MaxCTAs != 0 || opts.Config().MaxCTAs != 0 {
 			t.Errorf("-ctas 0: MaxCTAs %d, Config().MaxCTAs %d; want 0", opts.MaxCTAs, opts.Config().MaxCTAs)
+		}
+	})
+
+	t.Run("out-of-range scale", func(t *testing.T) {
+		for _, args := range [][]string{
+			{"-ctas", "-5"}, {"-sms", "0"}, {"-sms", "-3"}, {"-workers", "-1"},
+		} {
+			_, err := parseRunFlags(t, args...)
+			if err == nil || !strings.Contains(err.Error(), args[0]+" ") {
+				t.Errorf("%v resolved with error %v, want one naming %s", args, err, args[0])
+			}
 		}
 	})
 

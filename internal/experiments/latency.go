@@ -9,10 +9,13 @@ import (
 )
 
 // BatchKernel builds the forward GEMM kernel for a layer at an explicit
-// batch size, named so runs land on the same cache/store keys as the
-// Fig. 13 batch sweep ("Net/Layer@b16"): a cluster experiment re-renders
-// warm from a store a fig13 run already filled, and vice versa. Batch 0
-// keeps Table I's batch and is LayerKernel(l), under the layer's own name.
+// batch size, labelled "Net/Layer@b16". Fig. 13's batch sweep, the
+// cluster experiment, duplosim -batch and duploserved's batch runs all
+// build it here, so their runs share cache and store entries: a cluster
+// experiment re-renders warm from a store a fig13 run already filled, and
+// vice versa. The run key holds the name as well as the geometry, so the
+// "@b8" kernel, whose geometry is Table I's, memoizes apart from Fig. 9's
+// cells. Batch 0 keeps Table I's batch and is LayerKernel(l).
 func BatchKernel(l workload.Layer, batch int) (*sim.Kernel, error) {
 	if batch == 0 {
 		return LayerKernel(l)

@@ -44,16 +44,19 @@ func parsePredictorMode(s string) (PredictorMode, error) {
 }
 
 // CalibrationKey fingerprints what a calibration artifact is valid for:
-// predictor format version, the store format version, the resolved
-// simulator configuration, and the workload/LHB-point set the fit runs
-// against. Any drift in these is a different key, so a stale artifact can
-// never be silently reused. The store version is in the key because a
-// change to simulated results bumps it (cmd/duploexp's golden test holds
-// the two together) without touching anything else here: without it, a
-// fit of the old model would keep loading under an unchanged key.
+// predictor format version, the store format version, the base config's
+// run key under an empty kernel (every config field that can change a
+// result, as in the store's keys), and the workload/LHB-point set the fit
+// runs against. Any drift in these is a different key, so a stale
+// artifact can never be silently reused. The store version is in the key
+// because a change to simulated results bumps it (cmd/duploexp's golden
+// test holds the two together) without touching anything else here:
+// without it, a fit of the old model would keep loading under an
+// unchanged key.
 func (r *Runner) CalibrationKey() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "calib/v%d|store/v%d|%s", predictor.FormatVersion, store.FormatVersion, r.key("base", r.opts.config()))
+	fmt.Fprintf(&b, "calib/v%d|store/v%d|%s", predictor.FormatVersion, store.FormatVersion,
+		newRunKey(&sim.Kernel{}, r.opts.config()).encode())
 	for _, l := range r.opts.layers() {
 		b.WriteString("|")
 		b.WriteString(l.FullName())
@@ -239,21 +242,21 @@ func (r *Runner) FigCalibrate() (*report.Table, error) {
 }
 
 // inEnvelope reports whether a config lies inside the calibrated envelope:
-// identical to the runner's base config on every axis the calibration
-// sweep does not vary (SM count, CTA cap, cache sizes, latencies, ...),
-// with the Duplo axis restricted to what the fit observed — any entry
-// count, direct-mapped, hash-indexed, default detection latency, oracle
-// allowed. Everything else (associativity sweeps, modulo indexing,
-// never-evict, scaled caches, traced runs) must simulate: the model has
-// no feature that saw those axes move.
+// identical to the runner's base config on every axis that can change a
+// result (resultConfig) and that the calibration sweep does not vary (SM
+// count, CTA cap, cache sizes, latencies, ...), with the Duplo axis
+// restricted to what the fit observed — any entry count, direct-mapped,
+// hash-indexed, default detection latency, oracle allowed. Everything
+// else (associativity sweeps, modulo indexing, never-evict, scaled
+// caches, traced runs) must simulate: the model has no feature that saw
+// those axes move.
 func (r *Runner) inEnvelope(cfg sim.Config) bool {
 	if cfg.Tracer != nil {
 		return false
 	}
 	base := r.opts.config()
 	// Compare everything except the axes calibration varies.
-	c, b := cfg, base
-	c.Tracer, b.Tracer = nil, nil
+	c, b := resultConfig(cfg), resultConfig(base)
 	c.Duplo, b.Duplo = false, false
 	c.DetectCfg, b.DetectCfg = base.DetectCfg, base.DetectCfg
 	if c != b {
@@ -296,7 +299,7 @@ func (r *Runner) runTier(ctx context.Context, k *sim.Kernel, cfg sim.Config) (si
 	// own memo: a predicted entry can never shadow (or be shadowed by) the
 	// exact result for the same cell, and never crosses into a session
 	// that predicts from another calibration.
-	key := r.key(k.Name, cfg)
+	key := newRunKey(k, cfg)
 	e, inFlight := join(&r.predMu, r.preds, key)
 	if inFlight {
 		r.memHits.Add(1)

@@ -9,7 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"duplo/internal/conv"
 	duplo "duplo/internal/core"
+	"duplo/internal/lowering"
 	"duplo/internal/predictor"
 	"duplo/internal/report"
 	"duplo/internal/sim"
@@ -48,7 +50,7 @@ type Runner struct {
 	cal    *predictor.Calibration
 	calErr error
 	predMu sync.Mutex
-	preds  map[string]*cacheEntry
+	preds  map[runKey]*cacheEntry
 
 	execs     atomic.Int64 // simulations actually executed (all tiers missed)
 	memHits   atomic.Int64 // runs served from the in-memory singleflight cache
@@ -69,7 +71,7 @@ type shared struct {
 
 	// cache memoizes exact (cycle-sim) results by key; mu guards it.
 	mu    sync.Mutex
-	cache map[string]*cacheEntry
+	cache map[runKey]*cacheEntry
 }
 
 // cacheEntry is one singleflight slot: done closes when res/err are final.
@@ -91,7 +93,7 @@ func (e *cacheEntry) result() (*sim.Result, error) {
 // join returns key's entry in memo m and true when a request for it is
 // already in flight or done; otherwise it installs a fresh entry, which
 // the caller must fill and close, and returns false.
-func join(mu *sync.Mutex, m map[string]*cacheEntry, key string) (*cacheEntry, bool) {
+func join(mu *sync.Mutex, m map[runKey]*cacheEntry, key runKey) (*cacheEntry, bool) {
 	mu.Lock()
 	defer mu.Unlock()
 	if e, ok := m[key]; ok {
@@ -105,7 +107,7 @@ func join(mu *sync.Mutex, m map[string]*cacheEntry, key string) (*cacheEntry, bo
 // evict removes a failed entry from memo m before its waiters wake, so a
 // later request retries instead of being served a poisoned key. It guards
 // on identity: a retry may have installed a fresh entry in the window.
-func evict(mu *sync.Mutex, m map[string]*cacheEntry, key string, e *cacheEntry) {
+func evict(mu *sync.Mutex, m map[runKey]*cacheEntry, key runKey, e *cacheEntry) {
 	mu.Lock()
 	if m[key] == e {
 		delete(m, key)
@@ -119,7 +121,7 @@ func NewRunner(opts Options) *Runner {
 	sh := &shared{
 		simFn: sim.RunContext,
 		store: opts.Store,
-		cache: make(map[string]*cacheEntry),
+		cache: make(map[runKey]*cacheEntry),
 	}
 	if opts.Faults != nil {
 		sh.simFn = faultWrap(opts.Faults, sh.simFn)
@@ -144,7 +146,7 @@ func newRunner(opts Options, sh *shared) *Runner {
 		sink:    report.NewSink(opts.Progress),
 		ctx:     ctx,
 		shared:  sh,
-		preds:   make(map[string]*cacheEntry),
+		preds:   make(map[runKey]*cacheEntry),
 	}
 }
 
@@ -247,17 +249,62 @@ func (r *Runner) progress(format string, args ...interface{}) {
 	}
 }
 
-// key builds a cache key for a kernel/config combination. DenseClock is
-// included for hygiene even though the clocks are byte-identical by
-// contract (clock_test.go), so a deliberate cross-mode comparison is never
-// served from the cache.
-func (r *Runner) key(kernelName string, cfg sim.Config) string {
-	d := cfg.DetectCfg
-	return fmt.Sprintf("%s|d=%v|e=%d,w=%d,o=%v,ne=%v,mi=%v|lat=%d|cta=%d|sm=%d|b=%d|rl=%d|l1=%d|l2=%d|dc=%v|mc=%d|wt=%v",
-		kernelName, cfg.Duplo, d.LHB.Entries, d.LHB.Ways, d.LHB.Oracle, d.LHB.NeverEvict, d.LHB.ModuloIndex,
-		d.LatencyCycles, cfg.MaxCTAs, cfg.SimSMs, 0, cfg.RetireDelay, cfg.L1KB, cfg.L2KB, cfg.DenseClock,
-		cfg.MaxCycles, cfg.WallTimeout)
+// runKey identifies one simulation in every cache tier: every exported
+// sim.Kernel field (Conv by value) and the config with resultConfig's
+// fields cleared. The memos map it directly; the store and the
+// calibration artifact key on its encoding. A field added to either type
+// is in the key by construction or fails TestRunKeyFields, so a config
+// change can never be served a result simulated under another value.
+// The name stays in for now: Fig. 13's "@b8" kernels have Fig. 9's
+// geometry but memoize apart from it (ROADMAP item 10).
+type runKey struct {
+	name                string
+	m, n, k             int
+	mPad, nPad, kPad    int
+	elemSize, dElemSize int
+	aBase, bBase, dBase uint64
+	variant             sim.SharedVariant
+	conv                conv.Params // zero when k.Conv is nil
+	layout              lowering.Layout
+	cfg                 sim.Config
 }
+
+// newRunKey builds k's key under cfg.
+func newRunKey(k *sim.Kernel, cfg sim.Config) runKey {
+	rk := runKey{
+		name: k.Name,
+		m:    k.M, n: k.N, k: k.K,
+		mPad: k.MPad, nPad: k.NPad, kPad: k.KPad,
+		elemSize: k.ElemSize, dElemSize: k.DElemSize,
+		aBase: k.ABase, bBase: k.BBase, dBase: k.DBase,
+		variant: k.Variant,
+		layout:  k.Layout,
+		cfg:     resultConfig(cfg),
+	}
+	if k.Conv != nil {
+		rk.conv = *k.Conv
+	}
+	return rk
+}
+
+// resultConfig clears the config fields that cannot change a successful
+// result: the tracer is observational (TestTracingDoesNotPerturb), and the
+// crash-dump directory and watchdog window only shape how a failed run
+// fails (TestHardenedRunByteIdentical). MaxCycles, WallTimeout and
+// DenseClock stay: a bounded request must not be served an unbounded
+// run's result, and a cross-clock comparison must really simulate twice.
+func resultConfig(cfg sim.Config) sim.Config {
+	cfg.Tracer = nil
+	cfg.CrashDumpDir = ""
+	cfg.WatchdogWindow = 0
+	return cfg
+}
+
+// encode renders the key as the store and calibration keys. fmt prints
+// unexported fields by value, without calling their String methods, and
+// the leading name is the only field that can print a space, so equal
+// encodings mean equal keys.
+func (rk runKey) encode() string { return fmt.Sprint(rk) }
 
 // Run obtains kernel k's result under cfg, memoized and singleflighted:
 // safe for concurrent use, and each unique key simulates at most once per
@@ -304,7 +351,7 @@ func (r *Runner) RunShared(ctx context.Context, k *sim.Kernel, cfg sim.Config) (
 	if ctx == nil {
 		ctx = r.ctx
 	}
-	key := r.key(k.Name, cfg)
+	key := newRunKey(k, cfg)
 	e, inFlight := join(&r.mu, r.cache, key)
 	for inFlight {
 		r.memHits.Add(1)
@@ -326,8 +373,10 @@ func (r *Runner) RunShared(ctx context.Context, k *sim.Kernel, cfg sim.Config) (
 	// before a pool slot is taken — a store hit never occupies simulation
 	// capacity.
 	persist := r.store != nil && cfg.Tracer == nil
+	var storeKey string
 	if persist {
-		if rec, ok := r.store.Get(key); ok {
+		storeKey = key.encode()
+		if rec, ok := r.store.Get(storeKey); ok {
 			r.storeHits.Add(1)
 			e.res = rec.Result(k, cfg)
 			close(e.done)
@@ -349,7 +398,7 @@ func (r *Runner) RunShared(ctx context.Context, k *sim.Kernel, cfg sim.Config) (
 		// Best-effort: a full disk must not fail the sweep. The error is
 		// surfaced on the progress sink and in the store's PutErrors
 		// counter (statsz).
-		if perr := r.store.Put(key, store.RecordOf(e.res)); perr != nil {
+		if perr := r.store.Put(storeKey, store.RecordOf(e.res)); perr != nil {
 			r.progress("store: persist %s: %v", k.Name, perr)
 		}
 	}

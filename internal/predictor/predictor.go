@@ -482,8 +482,8 @@ func (c *Calibration) PredictResult(k *sim.Kernel, cfg sim.Config) (sim.Result, 
 		return at(name)
 	}
 	nAtU := func(name string) uint64 { return uint64(nAt(name)) }
-	s.Cycles = max64(at("cycles"), 1)
-	s.IssueStallCycles = min64(at("issue_stall"), s.Cycles*int64(cfg.Schedulers)*int64(cfg.SimSMs))
+	s.Cycles = max(at("cycles"), 1)
+	s.IssueStallCycles = min(at("issue_stall"), s.Cycles*int64(cfg.Schedulers)*int64(cfg.SimSMs))
 	s.LDSTStallCycles = at("ldst_stall")
 	if cfg.Duplo {
 		// Lookups are structural, not regressed: every A row load of a
@@ -495,29 +495,29 @@ func (c *Calibration) PredictResult(k *sim.Kernel, cfg sim.Config) (sim.Result, 
 		if k.Conv != nil {
 			s.LHB.Lookups = uint64(work.ARowLoads())
 		}
-		elim := min64(nAt("loads_eliminated"), s.TensorLoads)
+		elim := min(nAt("loads_eliminated"), s.TensorLoads)
 		// The simulator's accounting ties eliminations to LHB hits one to
 		// one (invariants_test), so hits derive from the gated elimination
 		// prediction, capped by what was looked up.
-		s.LHB.Hits = minU(nAtU("lhb_hits"), uint64(elim))
+		s.LHB.Hits = min(nAtU("lhb_hits"), uint64(elim))
 		if k.Conv != nil {
-			s.LHB.Hits = minU(s.LHB.Hits, s.LHB.Lookups)
+			s.LHB.Hits = min(s.LHB.Hits, s.LHB.Lookups)
 		} else {
-			s.LHB.Lookups = maxU(atU("lhb_lookups"), s.LHB.Hits)
+			s.LHB.Lookups = max(atU("lhb_lookups"), s.LHB.Hits)
 		}
 		s.LoadsEliminated = int64(s.LHB.Hits)
 		s.LHB.Misses = s.LHB.Lookups - s.LHB.Hits
-		s.LHB.Allocs = minU(nAtU("lhb_allocs"), s.LHB.Misses)
-		s.LHB.Replacements = minU(nAtU("lhb_replacements"), s.LHB.Allocs)
-		s.LHB.Releases = minU(nAtU("lhb_releases"), s.LHB.Allocs)
+		s.LHB.Allocs = min(nAtU("lhb_allocs"), s.LHB.Misses)
+		s.LHB.Replacements = min(nAtU("lhb_replacements"), s.LHB.Allocs)
+		s.LHB.Releases = min(nAtU("lhb_releases"), s.LHB.Allocs)
 		s.LHB.Relays = nAtU("lhb_relays")
-		s.RenameCount = min64(nAt("renames"), s.TensorLoads)
+		s.RenameCount = min(nAt("renames"), s.TensorLoads)
 		s.AllocCount = nAt("allocs")
 	}
 	s.L1Accesses = at("l1_accesses")
-	s.L1Hits = min64(at("l1_hits"), s.L1Accesses)
+	s.L1Hits = min(at("l1_hits"), s.L1Accesses)
 	s.L2Accesses = at("l2_accesses")
-	s.L2Hits = min64(at("l2_hits"), s.L2Accesses)
+	s.L2Hits = min(at("l2_hits"), s.L2Accesses)
 	s.DRAMLines = at("dram_lines")
 	s.StoreLines = at("store_lines")
 	s.MSHRMerges = at("mshr_merges")
@@ -772,32 +772,4 @@ func count(v float64) int64 {
 		return math.MaxInt64 / 2
 	}
 	return int64(math.Round(v))
-}
-
-func minU(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

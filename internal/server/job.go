@@ -52,8 +52,8 @@ func (rq RunRequest) build(opts experiments.Options) (*sim.Kernel, sim.Config, e
 	if err != nil {
 		return nil, sim.Config{}, err
 	}
-	// A batch-overridden kernel is named like Fig. 13's sweep, so it has
-	// its own cache/store slot.
+	// BatchKernel builds a batch override as Fig. 13's sweep does, so the
+	// two share cache and store entries.
 	k, err := experiments.BatchKernel(l, rq.Batch)
 	if err != nil {
 		return nil, sim.Config{}, err

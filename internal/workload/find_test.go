@@ -58,11 +58,11 @@ func TestTrainingGemmsInvariants(t *testing.T) {
 		}
 		fwd, dgrad, wgrad := gs[0], gs[1], gs[2]
 
-		// fwd: the layer's own lowered GEMM, name-suffixed for the cache.
+		// fwd: the layer's own lowered GEMM under the layer's own name.
 		if fwd.Conv == nil || *fwd.Conv != l.GemmParams() {
 			t.Errorf("%s: fwd params %+v != GemmParams", l.FullName(), fwd.Conv)
 		}
-		if !strings.HasSuffix(fwd.Name, "/fwd") {
+		if fwd.Name != l.FullName() {
 			t.Errorf("%s: fwd name %q", l.FullName(), fwd.Name)
 		}
 

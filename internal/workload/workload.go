@@ -108,6 +108,9 @@ func Find(network, name string) (Layer, error) {
 // same duplication structure), and the weight-gradient pass (a plain
 // reduction GEMM with no im2col workspace, which Duplo cannot help).
 type TrainingGemm struct {
+	// Name labels the GEMM: the layer's FullName for the forward GEMM,
+	// which is the layer's own kernel, and "<layer>/dgrad" or
+	// "<layer>/wgrad" for the two backward GEMMs.
 	Name string
 	// Conv is set when the GEMM has a lowered-workspace A operand.
 	Conv *conv.Params
@@ -138,7 +141,7 @@ func TrainingGemms(l Layer) []TrainingGemm {
 	// of M = K_filters, N = FH*FW*C, K = N*OutH*OutW with no workspace
 	// duplication structure Duplo could use.
 	return []TrainingGemm{
-		{Name: l.FullName() + "/fwd", Conv: &fwd},
+		{Name: l.FullName(), Conv: &fwd},
 		{Name: l.FullName() + "/dgrad", Conv: &g},
 		{Name: l.FullName() + "/wgrad", M: fwd.K, N: fwd.FH * fwd.FW * fwd.C, K: fwd.GemmM()},
 	}
