@@ -140,7 +140,7 @@ func (r *Runner) Cluster() (*report.Table, error) {
 		"Policy", "Load", "Offered r/s", "Cfg", "p50 ms", "p95 ms", "p99 ms", "Goodput r/s", "Reject%", "MeanQ", "Util")
 
 	setup, latErr := r.setupCluster()
-	se := &SweepError{Exp: "cluster"}
+	se := &SweepError{}
 	if sweepErr, ok := latErr.(*SweepError); ok {
 		se.Cells, se.Errs = sweepErr.Cells, sweepErr.Errs
 	} else if latErr != nil {

@@ -14,53 +14,31 @@ import (
 // table is ground-truth-only at every predictor mode (exact run variants;
 // DESIGN.md §9).
 func (r *Runner) EnergyArea() (*report.Table, error) {
-	layers := r.opts.layers()
 	m := energy.Default12nm()
-	t := report.NewTable("Section V-H: Energy and area",
-		"Layer", "Base on-chip (uJ)", "Duplo on-chip (uJ)", "Saving", "DRAM saving")
-	type row struct {
-		baseNJ, dupNJ, saving, dramSaving float64
-	}
-	rows := make([]row, len(layers))
-	errs := r.forEachLayer(layers, func(i int, l workload.Layer) error {
-		base, err := r.BaselineExact(l)
-		if err != nil {
-			return err
-		}
-		dup, err := r.DuploExact(l, DefaultLHB)
-		if err != nil {
-			return err
-		}
-		be, de := energy.Energy(m, base), energy.Energy(m, dup)
-		s := energy.OnChipSaving(m, base, dup)
-		var ds float64
-		if be.DRAMNJ > 0 {
-			ds = 1 - de.DRAMNJ/be.DRAMNJ
-		}
-		rows[i] = row{be.OnChipNJ, de.OnChipNJ, s, ds}
-		r.progress("energy %s done", l.FullName())
-		return nil
-	})
-	var savings, dramSavings []float64
-	failed := false
-	for i, l := range layers {
-		if errs[i] != nil {
-			failed = true
-			t.AddRowCells([]string{l.FullName(), errCell, errCell, errCell, errCell})
-			continue
-		}
-		savings = append(savings, rows[i].saving)
-		dramSavings = append(dramSavings, rows[i].dramSaving)
-		t.AddRowCells([]string{l.FullName(),
-			fmt.Sprintf("%.1f", rows[i].baseNJ/1e3), fmt.Sprintf("%.1f", rows[i].dupNJ/1e3),
-			report.Pct(rows[i].saving), report.Pct(rows[i].dramSaving)})
-	}
-	t.AddRowCells([]string{"Mean", "", "",
-		footerCell(failed, report.Pct(mean(savings))),
-		footerCell(failed, report.Pct(mean(dramSavings)))})
+	uJ := func(nJ float64) string { return fmt.Sprintf("%.1f", nJ/1e3) }
+	t, err := r.layerTable("energy", "Section V-H: Energy and area", "Mean", nil,
+		[]layerCol{{"Base on-chip (uJ)", uJ, nil}, {"Duplo on-chip (uJ)", uJ, nil},
+			{"Saving", report.Pct, mean}, {"DRAM saving", report.Pct, mean}},
+		func(l workload.Layer, _ int) ([]float64, float64, error) {
+			base, err := r.BaselineExact(l)
+			if err != nil {
+				return nil, 0, err
+			}
+			dup, err := r.DuploExact(l, DefaultLHB)
+			if err != nil {
+				return nil, 0, err
+			}
+			be, de := energy.Energy(m, base), energy.Energy(m, dup)
+			var ds float64
+			if be.DRAMNJ > 0 {
+				ds = 1 - de.DRAMNJ/be.DRAMNJ
+			}
+			return []float64{be.OnChipNJ, de.OnChipNJ, energy.OnChipSaving(m, base, dup), ds},
+				predErrOf(base, dup), nil
+		})
 	perEntry, totalBits := energy.LHBBits(1024)
 	t.AddRowCells([]string{"", "", "", "", ""})
 	t.AddRowCells([]string{fmt.Sprintf("LHB: %d bits/entry, %d KB total", perEntry, totalBits/8/1024), "",
 		fmt.Sprintf("area overhead vs 256KB RF: %s", report.PctU(energy.AreaOverhead(m, 1024))), "", ""})
-	return t, sweepError("energy", errs, func(i int) string { return layers[i].FullName() })
+	return t, err
 }

@@ -13,78 +13,114 @@ import (
 // every worker count.
 const errCell = "ERR"
 
-// renderGrid assembles the layers x cols body and the aggregate footer of
-// a sweep table. errs[li*cols+ci] marks failed cells, which render
-// errCell; an aggregate over a column containing any failed cell is
-// itself errCell — a silently partial gmean would masquerade as the
-// paper's headline number.
-//
-// pred, when non-nil, carries per-cell predicted errors (predErrOf
-// convention: -1 = ground truth, >= 0 = predicted with that expected
-// relative error): predicted cells render with the "~" marker, a footer
-// over any predicted cell is marked too, and the table gets the
-// predicted-legend note with the max predicted error. A nil (or
-// all-ground-truth) pred leaves the output byte-identical to the
-// pre-predictor rendering.
-func renderGrid(t *report.Table, layers []workload.Layer, cols int, errs []error,
-	vals, pred [][]float64, cell func(float64) string, aggName string, agg func([]float64) float64) {
-	colVals := make([][]float64, cols)
-	colErr := make([]bool, cols)
-	colPred := make([]bool, cols)
-	var flat []float64
-	predAt := func(li, ci int) float64 {
-		if pred == nil {
-			return -1
-		}
-		return pred[li][ci]
+// layerCol is one column of a per-layer table: its header, how a value
+// renders, and the footer aggregate over the column's values (nil leaves
+// the footer cell blank).
+type layerCol struct {
+	header string
+	cell   func(float64) string
+	agg    func([]float64) float64
+}
+
+// taskCols gives each of a layer's tasks one column, headed headers[i].
+func taskCols(headers []string, cell func(float64) string, agg func([]float64) float64) []layerCol {
+	cols := make([]layerCol, len(headers))
+	for i, h := range headers {
+		cols[i] = layerCol{h, cell, agg}
 	}
+	return cols
+}
+
+// layerTable runs a layers x tasks sweep on the worker pool and renders
+// it one row per layer, in Table I order, under a footer row labelled
+// foot. Task ti of a layer computes the values of columns [ti*w,
+// (ti+1)*w), where w = len(cols)/len(tasks), and predErrOf's predicted
+// error of the runs behind them. tasks names a layer's tasks in progress
+// lines ("<id> <layer> <task> done") and failed-cell labels
+// ("ResNet/C2/1024-entry"); nil runs one task per layer, named by the
+// layer alone.
+//
+// Every per-layer table shares these rules: a failed task's cells render
+// errCell; a footer over a column holding a failed cell renders errCell
+// (a silently partial gmean would masquerade as the paper's headline
+// number); predicted cells, and a footer over any of them, carry
+// predictedMark, and the table gets predNote's legend. The *SweepError
+// names the failed tasks in task order, so a degraded table and its
+// error are byte-identical at every worker count.
+func (r *Runner) layerTable(id, title, foot string, tasks []string, cols []layerCol,
+	run func(l workload.Layer, ti int) ([]float64, float64, error)) (*report.Table, error) {
+	layers := r.opts.layers()
+	nt := max(len(tasks), 1)
+	w := len(cols) / nt
+	// name names task i: its layer, then its task name after sep.
+	name := func(i int, sep string) string {
+		if tasks == nil {
+			return layers[i/nt].FullName()
+		}
+		return layers[i/nt].FullName() + sep + tasks[i%nt]
+	}
+	vals := make([][]float64, len(layers)*nt)
+	preds := make([]float64, len(vals))
+	errs := r.fanOutAll(len(vals), func(i int) error {
+		v, pe, err := run(layers[i/nt], i%nt)
+		if err != nil {
+			return err
+		}
+		vals[i], preds[i] = v, pe
+		r.progress("%s %s done", id, name(i, " "))
+		return nil
+	})
+
+	headers := []string{"Layer"}
+	for _, c := range cols {
+		headers = append(headers, c.header)
+	}
+	t := report.NewTable(title, headers...)
+	colVals := make([][]float64, len(cols))
+	colErr := make([]bool, len(cols))
+	colPred := make([]bool, len(cols))
+	var cellPreds []float64
 	for li, l := range layers {
 		row := []string{l.FullName()}
-		for ci := 0; ci < cols; ci++ {
-			if errs[li*cols+ci] != nil {
-				colErr[ci] = true
+		for c, col := range cols {
+			i := li*nt + c/w
+			if errs[i] != nil {
+				colErr[c] = true
 				row = append(row, errCell)
 				continue
 			}
-			pe := predAt(li, ci)
-			if pe >= 0 {
-				colPred[ci] = true
-			}
-			flat = append(flat, pe)
-			colVals[ci] = append(colVals[ci], vals[li][ci])
-			row = append(row, markPred(cell(vals[li][ci]), pe))
+			v := vals[i][c%w]
+			colVals[c] = append(colVals[c], v)
+			colPred[c] = colPred[c] || preds[i] >= 0
+			cellPreds = append(cellPreds, preds[i])
+			row = append(row, markPred(col.cell(v), preds[i]))
 		}
 		t.AddRowCells(row)
 	}
-	foot := []string{aggName}
-	for ci := 0; ci < cols; ci++ {
-		switch {
-		case colErr[ci]:
-			foot = append(foot, errCell)
-		case colPred[ci]:
-			foot = append(foot, cell(agg(colVals[ci]))+predictedMark)
-		default:
-			foot = append(foot, cell(agg(colVals[ci])))
+	footer := []string{foot}
+	for c, col := range cols {
+		if col.agg == nil {
+			footer = append(footer, "")
+			continue
 		}
+		footer = append(footer, footerCell(colErr[c], colPred[c], col.cell(col.agg(colVals[c]))))
 	}
-	t.AddRowCells(foot)
-	predNote(t, flat)
+	t.AddRowCells(footer)
+	predNote(t, cellPreds)
+	return t, sweepError(errs, func(i int) string { return name(i, "/") })
 }
 
 // footerCell renders an aggregate footer cell: errCell when any
-// contributing cell failed, the rendered aggregate otherwise.
-func footerCell(failed bool, s string) string {
+// contributing cell failed, else the rendered aggregate, marked when any
+// contributing cell was predicted.
+func footerCell(failed, predicted bool, s string) string {
 	if failed {
 		return errCell
 	}
-	return s
-}
-
-// gridLabel names cell i of a layers x cols sweep ("ResNet/C2/1024-entry").
-func gridLabel(layers []workload.Layer, cols int, colName func(ci int) string) func(i int) string {
-	return func(i int) string {
-		return layers[i/cols].FullName() + "/" + colName(i%cols)
+	if predicted {
+		return s + predictedMark
 	}
+	return s
 }
 
 // SweepError aggregates the per-cell failures of one experiment sweep.
@@ -92,7 +128,6 @@ func gridLabel(layers []workload.Layer, cols int, colName func(ci int) string) f
 // so a single livelocked or cancelled configuration degrades one figure
 // cell instead of aborting the whole invocation.
 type SweepError struct {
-	Exp   string   // experiment name, e.g. "fig9"
 	Cells []string // human-readable labels of the failed cells, task order
 	Errs  []error  // matching errors, same order
 }
@@ -104,8 +139,7 @@ const maxSweepErrorCells = 6
 // Error lists the failed cells deterministically (task order, not
 // completion order) so the same failure renders the same message at every
 // worker count. The experiment name is deliberately omitted — callers
-// (duploexp's per-experiment loop) already prefix it; Exp carries it for
-// programmatic use.
+// (duploexp's per-experiment loop) already prefix it.
 func (e *SweepError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d of the sweep's cells failed", len(e.Cells))
@@ -128,8 +162,8 @@ func (e *SweepError) Unwrap() []error { return e.Errs }
 
 // sweepError folds a fanOutAll error slice into a *SweepError, labelling
 // each failed slot with label(i). It returns nil when every slot is nil.
-func sweepError(exp string, errs []error, label func(i int) string) error {
-	se := &SweepError{Exp: exp}
+func sweepError(errs []error, label func(i int) string) error {
+	se := &SweepError{}
 	for i, err := range errs {
 		if err != nil {
 			se.Cells = append(se.Cells, label(i))

@@ -124,17 +124,8 @@ func (r *Runner) Fig14() (*report.Table, error) {
 			}
 		}
 	}
-	meanCell := func(failed, pred bool, v []float64) string {
-		if failed {
-			return errCell
-		}
-		if pred {
-			return report.Pct(mean(v)) + predictedMark
-		}
-		return report.Pct(mean(v))
-	}
-	t.AddRowCells([]string{"Mean", "Infer.", "1.00", "", meanCell(inferFailed, inferPred, inferImps)})
-	t.AddRowCells([]string{"Mean", "Train.", "1.00", "", meanCell(trainFailed, trainPred, trainImps)})
+	t.AddRowCells([]string{"Mean", "Infer.", "1.00", "", footerCell(inferFailed, inferPred, report.Pct(mean(inferImps)))})
+	t.AddRowCells([]string{"Mean", "Train.", "1.00", "", footerCell(trainFailed, trainPred, report.Pct(mean(trainImps)))})
 	predNote(t, preds)
-	return t, sweepError("fig14", errs, func(i int) string { return labels[i] })
+	return t, sweepError(errs, func(i int) string { return labels[i] })
 }

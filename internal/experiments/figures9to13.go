@@ -9,72 +9,49 @@ import (
 	"duplo/internal/workload"
 )
 
+// lhbNames names the Fig. 9/10 sweep's LHB points, in order.
+func lhbNames() []string {
+	names := make([]string, len(LHBPoints))
+	for i, p := range LHBPoints {
+		names[i] = p.Name
+	}
+	return names
+}
+
 // Fig9 reproduces Figure 9: per-layer performance improvement of Duplo over
 // the baseline for variable-sized LHBs (256 to 2048 entries plus the
-// oracle), ending with the gmean row. The layer x size sweep fans out on
-// the worker pool; rows are assembled in Table I order. On partial
-// failure the table is still returned (failed cells render "ERR")
-// alongside a *SweepError naming them.
+// oracle), ending with the gmean row. On partial failure the table is
+// still returned (failed cells render "ERR") alongside a *SweepError
+// naming them.
 func (r *Runner) Fig9() (*report.Table, error) {
-	layers := r.opts.layers()
-	headers := []string{"Layer"}
-	for _, p := range LHBPoints {
-		headers = append(headers, p.Name)
-	}
-	t := report.NewTable("Figure 9: Performance improvement vs LHB size", headers...)
-	imps := make([][]float64, len(layers))
-	preds := predMatrix(len(layers), len(LHBPoints))
-	for i := range imps {
-		imps[i] = make([]float64, len(LHBPoints))
-	}
-	errs := r.fanOutAll(len(layers)*len(LHBPoints), func(idx int) error {
-		li, pi := idx/len(LHBPoints), idx%len(LHBPoints)
-		l := layers[li]
-		base, err := r.Baseline(l)
-		if err != nil {
-			return err
-		}
-		dup, err := r.Duplo(l, LHBPoints[pi].Cfg)
-		if err != nil {
-			return err
-		}
-		imps[li][pi] = sim.Speedup(base, dup)
-		preds[li][pi] = predErrOf(base, dup)
-		r.progress("fig9 %s %s done", l.FullName(), LHBPoints[pi].Name)
-		return nil
-	})
-	renderGrid(t, layers, len(LHBPoints), errs, imps, preds, report.Pct, "Gmean", gmeanImprovement)
-	return t, sweepError("fig9", errs, gridLabel(layers, len(LHBPoints),
-		func(pi int) string { return LHBPoints[pi].Name }))
+	names := lhbNames()
+	return r.layerTable("fig9", "Figure 9: Performance improvement vs LHB size", "Gmean",
+		names, taskCols(names, report.Pct, gmeanImprovement),
+		func(l workload.Layer, pi int) ([]float64, float64, error) {
+			base, err := r.Baseline(l)
+			if err != nil {
+				return nil, 0, err
+			}
+			dup, err := r.Duplo(l, LHBPoints[pi].Cfg)
+			if err != nil {
+				return nil, 0, err
+			}
+			return []float64{sim.Speedup(base, dup)}, predErrOf(base, dup), nil
+		})
 }
 
 // Fig10 reproduces Figure 10: LHB hit rate per layer for the same sweep.
 func (r *Runner) Fig10() (*report.Table, error) {
-	layers := r.opts.layers()
-	headers := []string{"Layer"}
-	for _, p := range LHBPoints {
-		headers = append(headers, p.Name)
-	}
-	t := report.NewTable("Figure 10: LHB hit rate vs size", headers...)
-	rates := make([][]float64, len(layers))
-	preds := predMatrix(len(layers), len(LHBPoints))
-	for i := range rates {
-		rates[i] = make([]float64, len(LHBPoints))
-	}
-	errs := r.fanOutAll(len(layers)*len(LHBPoints), func(idx int) error {
-		li, pi := idx/len(LHBPoints), idx%len(LHBPoints)
-		dup, err := r.Duplo(layers[li], LHBPoints[pi].Cfg)
-		if err != nil {
-			return err
-		}
-		rates[li][pi] = dup.LHBHitRate()
-		preds[li][pi] = predErrOf(dup)
-		r.progress("fig10 %s %s done", layers[li].FullName(), LHBPoints[pi].Name)
-		return nil
-	})
-	renderGrid(t, layers, len(LHBPoints), errs, rates, preds, report.PctU, "Mean", mean)
-	return t, sweepError("fig10", errs, gridLabel(layers, len(LHBPoints),
-		func(pi int) string { return LHBPoints[pi].Name }))
+	names := lhbNames()
+	return r.layerTable("fig10", "Figure 10: LHB hit rate vs size", "Mean",
+		names, taskCols(names, report.PctU, mean),
+		func(l workload.Layer, pi int) ([]float64, float64, error) {
+			dup, err := r.Duplo(l, LHBPoints[pi].Cfg)
+			if err != nil {
+				return nil, 0, err
+			}
+			return []float64{dup.LHBHitRate()}, predErrOf(dup), nil
+		})
 }
 
 // fig11Row carries one layer's pre-rendered baseline/Duplo rows and its
@@ -97,7 +74,8 @@ func (r *Runner) Fig11() (*report.Table, error) {
 	for i := range preds {
 		preds[i] = -1
 	}
-	errs := r.forEachLayer(layers, func(i int, l workload.Layer) error {
+	errs := r.fanOutAll(len(layers), func(i int) error {
+		l := layers[i]
 		base, err := r.Baseline(l)
 		if err != nil {
 			return err
@@ -149,20 +127,12 @@ func (r *Runner) Fig11() (*report.Table, error) {
 		dL1 = append(dL1, row.dL1)
 		dL2 = append(dL2, row.dL2)
 	}
-	meanMark := func(s string) string {
-		if anyPred {
-			return s + predictedMark
-		}
-		return s
-	}
-	if failed {
-		t.AddRowCells([]string{"Mean", "", "", "", "", "", errCell, errCell, errCell})
-	} else {
-		t.AddRowCells([]string{"Mean", "", "", "", "", "",
-			meanMark(report.Pct(mean(dDRAM))), meanMark(report.Pct(mean(dL1))), meanMark(report.Pct(mean(dL2)))})
-	}
+	t.AddRowCells([]string{"Mean", "", "", "", "", "",
+		footerCell(failed, anyPred, report.Pct(mean(dDRAM))),
+		footerCell(failed, anyPred, report.Pct(mean(dL1))),
+		footerCell(failed, anyPred, report.Pct(mean(dL2)))})
 	predNote(t, preds)
-	return t, sweepError("fig11", errs, func(i int) string { return layers[i].FullName() })
+	return t, sweepError(errs, func(i int) string { return layers[i].FullName() })
 }
 
 func ratioDelta(a, b int64) float64 {
@@ -175,43 +145,30 @@ func ratioDelta(a, b int64) float64 {
 // Fig12 reproduces Figure 12: set-associative LHBs (1024 entries total) vs
 // the direct-mapped default. The paper finds 8-way buys only ~3.6%.
 func (r *Runner) Fig12() (*report.Table, error) {
-	layers := r.opts.layers()
 	ways := []int{1, 2, 4, 8}
-	headers := []string{"Layer"}
-	for _, w := range ways {
-		if w == 1 {
-			headers = append(headers, "Direct")
-		} else {
-			headers = append(headers, fmt.Sprintf("%d-way", w))
+	tasks := make([]string, len(ways))
+	headers := []string{"Direct"}
+	for i, w := range ways {
+		tasks[i] = fmt.Sprintf("%d-way", w)
+		if w > 1 {
+			headers = append(headers, tasks[i])
 		}
 	}
-	t := report.NewTable("Figure 12: Performance improvement vs LHB associativity (1024 entries)", headers...)
-	imps := make([][]float64, len(layers))
-	preds := predMatrix(len(layers), len(ways))
-	for i := range imps {
-		imps[i] = make([]float64, len(ways))
-	}
-	errs := r.fanOutAll(len(layers)*len(ways), func(idx int) error {
-		li, wi := idx/len(ways), idx%len(ways)
-		l := layers[li]
-		// Associative cells are outside the calibrated envelope (the fit
-		// never saw Ways > 1), so they always simulate.
-		base, err := r.Baseline(l)
-		if err != nil {
-			return err
-		}
-		dup, err := r.Duplo(l, duplo.LHBConfig{Entries: 1024, Ways: ways[wi]})
-		if err != nil {
-			return err
-		}
-		imps[li][wi] = sim.Speedup(base, dup)
-		preds[li][wi] = predErrOf(base, dup)
-		r.progress("fig12 %s %d-way done", l.FullName(), ways[wi])
-		return nil
-	})
-	renderGrid(t, layers, len(ways), errs, imps, preds, report.Pct, "Gmean", gmeanImprovement)
-	return t, sweepError("fig12", errs, gridLabel(layers, len(ways),
-		func(wi int) string { return fmt.Sprintf("%d-way", ways[wi]) }))
+	return r.layerTable("fig12", "Figure 12: Performance improvement vs LHB associativity (1024 entries)", "Gmean",
+		tasks, taskCols(headers, report.Pct, gmeanImprovement),
+		func(l workload.Layer, wi int) ([]float64, float64, error) {
+			// Associative cells are outside the calibrated envelope (the
+			// fit never saw Ways > 1), so they always simulate.
+			base, err := r.Baseline(l)
+			if err != nil {
+				return nil, 0, err
+			}
+			dup, err := r.Duplo(l, duplo.LHBConfig{Entries: 1024, Ways: ways[wi]})
+			if err != nil {
+				return nil, 0, err
+			}
+			return []float64{sim.Speedup(base, dup)}, predErrOf(base, dup), nil
+		})
 }
 
 // Fig13 reproduces Figure 13: Duplo's improvement with batch sizes 8, 16
@@ -219,42 +176,30 @@ func (r *Runner) Fig12() (*report.Table, error) {
 // adding cross-image duplication, so the fixed-size LHB covers a smaller
 // fraction (§V-F).
 func (r *Runner) Fig13() (*report.Table, error) {
-	layers := r.opts.layers()
 	batches := []int{8, 16, 32}
-	headers := []string{"Layer"}
-	for _, b := range batches {
-		headers = append(headers, fmt.Sprintf("Batch %d", b))
+	tasks := make([]string, len(batches))
+	headers := make([]string, len(batches))
+	for i, b := range batches {
+		tasks[i], headers[i] = fmt.Sprintf("b%d", b), fmt.Sprintf("Batch %d", b)
 	}
-	t := report.NewTable("Figure 13: Performance improvement vs batch size (1024-entry LHB)", headers...)
-	imps := make([][]float64, len(layers))
-	preds := predMatrix(len(layers), len(batches))
-	for i := range imps {
-		imps[i] = make([]float64, len(batches))
-	}
-	errs := r.fanOutAll(len(layers)*len(batches), func(idx int) error {
-		li, bi := idx/len(batches), idx%len(batches)
-		l, b := layers[li], batches[bi]
-		k, err := BatchKernel(l, b)
-		if err != nil {
-			return err
-		}
-		cfg := r.opts.config()
-		base, err := r.Run(k, cfg)
-		if err != nil {
-			return err
-		}
-		cfg.Duplo = true
-		cfg.DetectCfg.LHB = DefaultLHB
-		dup, err := r.Run(k, cfg)
-		if err != nil {
-			return err
-		}
-		imps[li][bi] = sim.Speedup(base, dup)
-		preds[li][bi] = predErrOf(base, dup)
-		r.progress("fig13 %s b%d done", l.FullName(), b)
-		return nil
-	})
-	renderGrid(t, layers, len(batches), errs, imps, preds, report.Pct, "Gmean", gmeanImprovement)
-	return t, sweepError("fig13", errs, gridLabel(layers, len(batches),
-		func(bi int) string { return fmt.Sprintf("b%d", batches[bi]) }))
+	return r.layerTable("fig13", "Figure 13: Performance improvement vs batch size (1024-entry LHB)", "Gmean",
+		tasks, taskCols(headers, report.Pct, gmeanImprovement),
+		func(l workload.Layer, bi int) ([]float64, float64, error) {
+			k, err := BatchKernel(l, batches[bi])
+			if err != nil {
+				return nil, 0, err
+			}
+			cfg := r.opts.config()
+			base, err := r.Run(k, cfg)
+			if err != nil {
+				return nil, 0, err
+			}
+			cfg.Duplo = true
+			cfg.DetectCfg.LHB = DefaultLHB
+			dup, err := r.Run(k, cfg)
+			if err != nil {
+				return nil, 0, err
+			}
+			return []float64{sim.Speedup(base, dup)}, predErrOf(base, dup), nil
+		})
 }

@@ -66,6 +66,7 @@ func TestRunFlags(t *testing.T) {
 	t.Run("out-of-range scale", func(t *testing.T) {
 		for _, args := range [][]string{
 			{"-ctas", "-5"}, {"-sms", "0"}, {"-sms", "-3"}, {"-workers", "-1"},
+			{"-max-cycles", "-1"}, {"-sms", "81"},
 		} {
 			_, err := parseRunFlags(t, args...)
 			if err == nil || !strings.Contains(err.Error(), args[0]+" ") {

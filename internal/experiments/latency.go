@@ -105,7 +105,7 @@ func (r *Runner) ServingLatencies(layers []workload.Layer, batches []int, clockM
 			}
 		}
 	}
-	return base, dup, sweepError("latency", errs, func(i int) string {
+	return base, dup, sweepError(errs, func(i int) string {
 		li, rest := i/(nb*2), i%(nb*2)
 		mode := "base"
 		if rest%2 == 1 {

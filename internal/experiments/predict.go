@@ -349,19 +349,6 @@ func markPred(cell string, predErr float64) string {
 // predictedMark is the visible marker on every predicted cell.
 const predictedMark = "~"
 
-// predMatrix allocates a rows x cols predicted-error matrix initialized
-// to the ground-truth sentinel (-1).
-func predMatrix(rows, cols int) [][]float64 {
-	m := make([][]float64, rows)
-	for i := range m {
-		m[i] = make([]float64, cols)
-		for j := range m[i] {
-			m[i][j] = -1
-		}
-	}
-	return m
-}
-
 // predNote builds the per-table footer note: only emitted when at least
 // one cell is predicted, so ground-truth-only tables stay byte-identical
 // to the pre-predictor output.

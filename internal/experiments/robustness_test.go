@@ -3,9 +3,11 @@ package experiments
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,7 +16,11 @@ import (
 	"time"
 
 	"duplo/internal/sim"
+	"duplo/internal/workload"
 )
+
+// update re-records the partial-table golden (TestPartialTableDeterministic).
+var update = flag.Bool("update", false, "rewrite testdata/partial.golden")
 
 // errInjected is the sentinel the robustness tests inject through the
 // Runner's simFn seam.
@@ -269,66 +275,169 @@ func TestFanOutDrainAndFirstError(t *testing.T) {
 	}
 }
 
-// TestPartialTableDeterministic injects one deterministic cell failure
-// into a Fig. 9 sweep (through the simFn seam — no real simulations run)
-// and requires the degraded output to be byte-identical between Workers=1
-// and Workers=8: the same ERR cell, the same poisoned Gmean footer, and
-// the same *SweepError. Failure identity is per task, not per schedule.
+// partialSweeps lists the registered sweeps that simulate, except
+// calibrate (a fit, not a table of cells) and cluster (pinned by its own
+// golden).
+var partialSweeps = []string{"fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
+	"energy", "latency", "smem", "cache", "evict", "index"}
+
+// partialLayers are the partial-table test's layers: one per injected
+// failure, in its order (partialSimFn).
+func partialLayers(t *testing.T) []workload.Layer {
+	t.Helper()
+	var out []workload.Layer
+	for _, id := range [][2]string{{"ResNet", "C2"}, {"GAN", "C4"}, {"YOLO", "C3"}, {"ResNet", "C6"}, {"GAN", "TC4"}} {
+		l, err := workload.Find(id[0], id[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, l)
+	}
+	return out
+}
+
+// partialSimFn is a stub simulator that fails five fixed cells: layers[0]'s
+// Duplo 1024-entry run, every baseline kernel of layers[1] (its batched and
+// training GEMMs included), layers[2]'s A+C shared-memory variant,
+// layers[3]'s cache-scaled config and layers[4]'s never-evict run. Every
+// other run succeeds with counters that move with the kernel and each
+// config axis the sweeps vary, so every column renders distinct values.
+func partialSimFn(layers []workload.Layer) func(context.Context, sim.Config, *sim.Kernel) (sim.Result, error) {
+	def := sim.TitanVConfig()
+	of := func(k *sim.Kernel, l workload.Layer) bool {
+		n := l.FullName()
+		return k.Name == n || strings.HasPrefix(k.Name, n+"/") || strings.HasPrefix(k.Name, n+"@")
+	}
+	return func(_ context.Context, cfg sim.Config, k *sim.Kernel) (sim.Result, error) {
+		lhb := cfg.DetectCfg.LHB
+		switch {
+		case cfg.Duplo && lhb == DefaultLHB && k.Name == layers[0].FullName():
+			return sim.Result{}, fmt.Errorf("%w: Duplo 1024-entry", errInjected)
+		case !cfg.Duplo && cfg.L1KB == def.L1KB && k.Variant == sim.SharedCOnly && of(k, layers[1]):
+			return sim.Result{}, fmt.Errorf("%w: baseline", errInjected)
+		case k.Variant == sim.SharedAC && of(k, layers[2]):
+			return sim.Result{}, fmt.Errorf("%w: A+C variant", errInjected)
+		case cfg.L1KB != def.L1KB && of(k, layers[3]):
+			return sim.Result{}, fmt.Errorf("%w: cache-scaled", errInjected)
+		case lhb.NeverEvict && of(k, layers[4]):
+			return sim.Result{}, fmt.Errorf("%w: never-evict", errInjected)
+		}
+		n := int64(len(k.Name)) + int64(k.M/64)
+		st := sim.Stats{
+			Cycles:      20000 + 300*n + 4000*int64(k.Variant),
+			TensorLoads: 4000 + 10*n,
+			MMAs:        2000,
+			L1Accesses:  5000 + 20*n,
+			L2Accesses:  3000 + 10*n,
+			DRAMLines:   1500 + 5*n,
+		}
+		st.ServiceLines[sim.ServiceL1] = 2000
+		st.ServiceLines[sim.ServiceL2] = 1500
+		st.ServiceLines[sim.ServiceDRAM] = 1500 + 5*n
+		if cfg.L1KB != def.L1KB {
+			st.Cycles -= 700
+		}
+		if cfg.Duplo {
+			reach := int64(lhb.Entries)
+			if lhb.Oracle {
+				reach = 4096
+			}
+			if lhb.NeverEvict {
+				reach = 6000
+			}
+			hits := 400 + reach/8 + 30*int64(lhb.Ways)
+			if lhb.ModuloIndex {
+				hits -= 150
+			}
+			st.LHB.Lookups, st.LHB.Hits = 2000, uint64(hits)
+			st.LoadsEliminated = hits
+			st.Cycles -= 2*hits - 200*int64(cfg.DetectCfg.LatencyCycles)
+			st.DRAMLines -= hits / 4
+			st.ServiceLines[sim.ServiceLHB] = hits
+			st.ServiceLines[sim.ServiceL1] -= hits / 2
+			st.ServiceLines[sim.ServiceDRAM] -= hits / 4
+		}
+		return sim.Result{Stats: st, SimulatedCTAs: 8, TotalCTAs: 8 + int(n%24)}, nil
+	}
+}
+
+// TestPartialTableDeterministic renders every simulating sweep with five
+// injected cell failures (through the simFn seam — no real simulations
+// run) and pins the degraded tables: failed cells render ERR, a footer
+// over a failed cell renders ERR, and each *SweepError names its failed
+// cells in task order. The output must be byte-identical between
+// Workers=1 and Workers=8 — failure identity is per task, not per
+// schedule — and equal testdata/partial.golden. Re-record it with
+// `go test ./internal/experiments -run TestPartialTableDeterministic
+// -update` after an intended change to a table's degraded rendering.
 func TestPartialTableDeterministic(t *testing.T) {
-	layers := detLayers(t)
-	failLayer := layers[1].FullName()
-	failLHB := LHBPoints[1].Cfg
-	mk := func(workers int) *Runner {
+	layers := partialLayers(t)
+	render := func(workers int) (string, map[string]error) {
 		opts := QuickOptions()
 		opts.Layers = layers
 		opts.Workers = workers
 		r := NewRunner(opts)
-		r.simFn = func(_ context.Context, cfg sim.Config, k *sim.Kernel) (sim.Result, error) {
-			if cfg.Duplo && cfg.DetectCfg.LHB == failLHB && k.Name == failLayer {
-				return sim.Result{}, errInjected
+		r.simFn = partialSimFn(layers)
+		var b strings.Builder
+		errs := map[string]error{}
+		for _, id := range partialSweeps {
+			sw, ok := r.Sweep(id)
+			if !ok {
+				t.Fatalf("sweep %q is not registered", id)
 			}
-			cycles := int64(1000)
-			if cfg.Duplo {
-				cycles = 900
+			tbl, err := sw.Run()
+			if tbl == nil {
+				t.Fatalf("workers=%d: degraded %s must still render a table", workers, id)
 			}
-			return sim.Result{Stats: sim.Stats{Cycles: cycles}}, nil
+			errs[id] = err
+			fmt.Fprintf(&b, "== %s\n%s-- error: %v\n", id, tbl, err)
 		}
-		return r
+		return b.String(), errs
 	}
-	type out struct {
-		table string
-		err   error
+	serial, serialErrs := render(1)
+	parallel, _ := render(8)
+	if serial != parallel {
+		t.Errorf("degraded tables differ between Workers=1 and Workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s",
+			serial, parallel)
 	}
-	run := func(workers int) out {
-		tbl, err := mk(workers).Fig9()
-		if tbl == nil {
-			t.Fatalf("workers=%d: degraded sweep must still render a table", workers)
-		}
-		return out{tbl.String(), err}
-	}
-	serial, parallel := run(1), run(8)
-	if serial.table != parallel.table {
-		t.Errorf("degraded fig9 differs between Workers=1 and Workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial.table, parallel.table)
-	}
-	if n := strings.Count(serial.table, errCell); n != 2 { // the cell and its poisoned Gmean
-		t.Errorf("degraded table holds %d %q cells, want 2:\n%s", n, errCell, serial.table)
-	}
-	for _, o := range []out{serial, parallel} {
+	for _, id := range partialSweeps {
+		err := serialErrs[id]
 		var sw *SweepError
-		if !errors.As(o.err, &sw) {
-			t.Fatalf("got %T (%v), want *SweepError", o.err, o.err)
-		}
-		if !errors.Is(o.err, errInjected) {
-			t.Errorf("SweepError does not unwrap to the injected failure: %v", o.err)
-		}
-		if !strings.Contains(o.err.Error(), failLayer+"/"+LHBPoints[1].Name) {
-			t.Errorf("SweepError does not name the failed cell: %v", o.err)
+		if !errors.As(err, &sw) {
+			t.Errorf("%s: got %T (%v), want *SweepError", id, err, err)
+		} else if !errors.Is(err, errInjected) {
+			t.Errorf("%s: SweepError does not unwrap to the injected failure: %v", id, err)
 		}
 	}
-	if serial.err.Error() != parallel.err.Error() {
-		t.Errorf("SweepError differs between worker counts:\nserial:   %v\nparallel: %v",
-			serial.err, parallel.err)
+
+	// Fig. 9: the failed Duplo cell and the whole failed baseline row,
+	// each named in the SweepError, and every Gmean footer poisoned.
+	fig9 := serial[:strings.Index(serial, "== fig10")]
+	if n, want := strings.Count(fig9, errCell), 1+2*len(LHBPoints); n != want {
+		t.Errorf("degraded fig9 holds %d %q cells, want %d:\n%s", n, errCell, want, fig9)
+	}
+	for _, cell := range []string{layers[0].FullName() + "/1024-entry", layers[1].FullName() + "/256-entry"} {
+		if !strings.Contains(serialErrs["fig9"].Error(), cell) {
+			t.Errorf("fig9's SweepError does not name %s: %v", cell, serialErrs["fig9"])
+		}
+	}
+
+	path := filepath.Join("testdata", "partial.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(serial), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/experiments -run TestPartialTableDeterministic -update` to create it)", err)
+	}
+	if serial != string(want) {
+		t.Errorf("degraded tables drifted from %s:\n--- got\n%s--- want\n%s", path, serial, want)
 	}
 }
 

@@ -457,12 +457,6 @@ func (r *Runner) fanOut(n int, f func(i int) error) error {
 	return nil
 }
 
-// forEachLayer fans one task per layer out on the pool, returning one
-// error slot per layer.
-func (r *Runner) forEachLayer(layers []workload.Layer, f func(i int, l workload.Layer) error) []error {
-	return r.fanOutAll(len(layers), func(i int) error { return f(i, layers[i]) })
-}
-
 // LayerKernel builds the forward tensor-core GEMM kernel for a layer.
 func LayerKernel(l workload.Layer) (*sim.Kernel, error) {
 	return sim.NewConvKernel(l.FullName(), l.GemmParams())

@@ -9,10 +9,6 @@ import "duplo/internal/report"
 type Sweep struct {
 	// ID is the CLI/URL name ("fig9", "table2", "energy", …).
 	ID string
-	// Sim reports whether running the sweep simulates (false for the
-	// static tables, which render from the paper's constants and the
-	// analytical models only).
-	Sim bool
 	// Run produces the table. On partial failure it still returns the
 	// table (failed cells render "ERR") alongside the error.
 	Run func() (*report.Table, error)
@@ -25,26 +21,26 @@ func (r *Runner) Sweeps() []Sweep {
 		return func() (*report.Table, error) { return build(), nil }
 	}
 	return []Sweep{
-		{"table1", false, static(Table1)},
-		{"table3", false, static(Table3)},
-		{"table2", false, Table2},
-		{"fig2", false, static(Fig2)},
-		{"limits", false, static(Limits)},
-		{"fig3", false, static(Fig3)},
-		{"fig9", true, r.Fig9},
-		{"fig10", true, r.Fig10},
-		{"fig11", true, r.Fig11},
-		{"fig12", true, r.Fig12},
-		{"fig13", true, r.Fig13},
-		{"fig14", true, r.Fig14},
-		{"energy", true, r.EnergyArea},
-		{"latency", true, r.AblationLatency},
-		{"smem", true, r.AblationSharedMem},
-		{"cache", true, r.AblationCacheScaling},
-		{"evict", true, r.AblationEviction},
-		{"index", true, r.AblationIndexing},
-		{"calibrate", true, r.FigCalibrate},
-		{"cluster", true, r.Cluster},
+		{"table1", static(Table1)},
+		{"table3", static(Table3)},
+		{"table2", Table2},
+		{"fig2", static(Fig2)},
+		{"limits", static(Limits)},
+		{"fig3", static(Fig3)},
+		{"fig9", r.Fig9},
+		{"fig10", r.Fig10},
+		{"fig11", r.Fig11},
+		{"fig12", r.Fig12},
+		{"fig13", r.Fig13},
+		{"fig14", r.Fig14},
+		{"energy", r.EnergyArea},
+		{"latency", r.AblationLatency},
+		{"smem", r.AblationSharedMem},
+		{"cache", r.AblationCacheScaling},
+		{"evict", r.AblationEviction},
+		{"index", r.AblationIndexing},
+		{"calibrate", r.FigCalibrate},
+		{"cluster", r.Cluster},
 	}
 }
 

@@ -6,27 +6,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
+
+	"duplo/internal/store"
 )
 
-// Calibration artifacts persist through the same versioned-envelope frame
-// as internal/store records: {version, key, sum, payload} with the
-// payload's own SHA-256, written via temp file + atomic rename. A warm
-// daemon (or a second duploexp invocation pointed at the same artifact)
-// therefore never refits — and a truncated, bit-flipped, version-skewed
-// or wrong-key artifact is a clean refit, never a reinterpretation.
-
-// envelope mirrors store.envelope; predictor keeps its own copy so the
-// artifact format is self-contained (store persists sim Records, this
-// persists fitted models — they version independently).
-type envelope struct {
-	Version int             `json:"version"`
-	Key     string          `json:"key"`
-	Sum     string          `json:"sum"`
-	Payload json.RawMessage `json:"payload"`
-}
+// Calibration artifacts persist in internal/store's on-disk frame
+// (store.WriteFrame): {version, key, sum, payload} with the payload's own
+// SHA-256, written via temp file + atomic rename, under predictor's own
+// FormatVersion. A warm daemon (or a second duploexp invocation pointed
+// at the same artifact) therefore never refits — and a truncated,
+// bit-flipped, version-skewed or wrong-key artifact is a clean refit,
+// never a reinterpretation.
 
 // ErrMismatch reports a structurally valid artifact fitted for a
 // different calibration key (different sim config, workload set, or
@@ -36,36 +28,8 @@ var ErrMismatch = errors.New("predictor: calibration key mismatch")
 // Save writes the calibration artifact atomically. The parent directory
 // is created if needed.
 func Save(path string, c *Calibration) error {
-	payload, err := json.Marshal(c)
-	if err != nil {
-		return fmt.Errorf("predictor: encode: %w", err)
-	}
-	// Compact, like store records: MarshalIndent would re-indent the
-	// embedded RawMessage and break the checksum's byte-for-byte contract.
-	data, err := json.Marshal(envelope{
-		Version: FormatVersion, Key: c.Key, Sum: payloadSum(payload), Payload: payload,
-	})
-	if err != nil {
-		return fmt.Errorf("predictor: encode: %w", err)
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := store.WriteFrame(path, FormatVersion, c.Key, c); err != nil {
 		return fmt.Errorf("predictor: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".calib-*")
-	if err != nil {
-		return fmt.Errorf("predictor: %w", err)
-	}
-	_, werr := tmp.Write(append(data, '\n'))
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("predictor: %w", werr)
 	}
 	return nil
 }
@@ -79,26 +43,17 @@ func Save(path string, c *Calibration) error {
 func Load(path, wantKey string) (*Calibration, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("predictor: %w", err)
-		}
-		return nil, fmt.Errorf("predictor: read %s: %w", path, err)
+		return nil, fmt.Errorf("predictor: %w", err)
 	}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return nil, fmt.Errorf("predictor: %s: corrupt envelope: %w", path, err)
+	key, payload, err := store.DecodeFrame(raw, FormatVersion)
+	if err != nil {
+		return nil, fmt.Errorf("predictor: %s: %w", path, err)
 	}
-	if env.Version != FormatVersion {
-		return nil, fmt.Errorf("predictor: %s: format version %d, want %d", path, env.Version, FormatVersion)
-	}
-	if env.Sum != payloadSum(env.Payload) {
-		return nil, fmt.Errorf("predictor: %s: payload checksum mismatch", path)
-	}
-	if env.Key != wantKey {
-		return nil, fmt.Errorf("%w: artifact %q, want %q", ErrMismatch, env.Key, wantKey)
+	if key != wantKey {
+		return nil, fmt.Errorf("%w: artifact %q, want %q", ErrMismatch, key, wantKey)
 	}
 	var c Calibration
-	if err := json.Unmarshal(env.Payload, &c); err != nil {
+	if err := json.Unmarshal(payload, &c); err != nil {
 		return nil, fmt.Errorf("predictor: %s: corrupt payload: %w", path, err)
 	}
 	if c.Key != wantKey {
@@ -113,10 +68,4 @@ func Load(path, wantKey string) (*Calibration, error) {
 func DefaultPath(storeDir, key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return filepath.Join(storeDir, "calibration", hex.EncodeToString(sum[:])[:16]+".json")
-}
-
-// payloadSum is the envelope checksum: hex SHA-256 of the payload bytes.
-func payloadSum(payload []byte) string {
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:])
 }

@@ -96,14 +96,76 @@ func (r Record) Result(k *sim.Kernel, cfg sim.Config) sim.Result {
 		Kernel: k, Config: cfg}
 }
 
-// envelope is the on-disk frame around a Record: the format version, the
-// full (unhashed) cache key for collision/tamper detection, and the
-// payload checksum.
+// envelope is the on-disk frame around a Record (and around a predictor
+// calibration artifact): the format version, the full (unhashed) key for
+// collision/tamper detection, and the payload checksum.
 type envelope struct {
 	Version int             `json:"version"`
 	Key     string          `json:"key"`
 	Sum     string          `json:"sum"`
 	Payload json.RawMessage `json:"payload"`
+}
+
+// ErrVersionSkew reports a frame written under another format version. It
+// is not damage: a reader leaves the file for the binary that owns it.
+var ErrVersionSkew = errors.New("format version skew")
+
+// WriteFrame writes payload's JSON to path inside the envelope, stamped
+// with version and key, atomically: a temp file in path's directory
+// (created if needed) is renamed into place, so a concurrent reader sees
+// the old file or the new one, never a torn write. Each caller passes its
+// own FormatVersion, so store records and predictor artifacts version
+// independently.
+func WriteFrame(path string, version int, key string, payload any) error {
+	p, err := json.Marshal(payload)
+	if err != nil {
+		return fmt.Errorf("encode: %w", err)
+	}
+	// Compact: MarshalIndent would re-indent the embedded payload and
+	// break the checksum's byte-for-byte contract.
+	data, err := json.Marshal(envelope{Version: version, Key: key, Sum: payloadSum(p), Payload: p})
+	if err != nil {
+		return fmt.Errorf("encode: %w", err)
+	}
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(dir, ".put-*")
+	if err != nil {
+		return err
+	}
+	_, werr := tmp.Write(append(data, '\n'))
+	cerr := tmp.Close()
+	if werr == nil {
+		werr = cerr
+	}
+	if werr == nil {
+		werr = os.Rename(tmp.Name(), path)
+	}
+	if werr != nil {
+		os.Remove(tmp.Name())
+	}
+	return werr
+}
+
+// DecodeFrame verifies one envelope read back from disk and returns its
+// key and payload. The error wraps ErrVersionSkew when the frame carries
+// a version other than version; any other error is damage (an
+// undecodable envelope or a payload checksum mismatch). The caller checks
+// the key and decodes the payload.
+func DecodeFrame(raw []byte, version int) (key string, payload json.RawMessage, err error) {
+	var env envelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		return "", nil, fmt.Errorf("corrupt envelope: %w", err)
+	}
+	if env.Version != version {
+		return "", nil, fmt.Errorf("%w: version %d, want %d", ErrVersionSkew, env.Version, version)
+	}
+	if env.Sum != payloadSum(env.Payload) {
+		return "", nil, errors.New("payload checksum mismatch")
+	}
+	return env.Key, env.Payload, nil
 }
 
 // Counters is a point-in-time snapshot of store activity (see Stats).
@@ -221,24 +283,14 @@ func (s *Store) lookup(key string) (Record, bool, error) {
 			raw = m
 		}
 	}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		s.corrupt(path)
-		s.misses.Add(1)
-		return Record{}, false, nil
-	}
-	if env.Version != FormatVersion {
+	gotKey, payload, err := DecodeFrame(raw, FormatVersion)
+	if errors.Is(err, ErrVersionSkew) {
 		s.versionSkips.Add(1)
 		s.misses.Add(1)
 		return Record{}, false, nil
 	}
-	if env.Key != key || env.Sum != payloadSum(env.Payload) {
-		s.corrupt(path)
-		s.misses.Add(1)
-		return Record{}, false, nil
-	}
 	var rec Record
-	if err := json.Unmarshal(env.Payload, &rec); err != nil {
+	if err != nil || gotKey != key || json.Unmarshal(payload, &rec) != nil {
 		s.corrupt(path)
 		s.misses.Add(1)
 		return Record{}, false, nil
@@ -281,35 +333,8 @@ func (s *Store) put(key string, rec Record) error {
 			return &OpError{Op: "put", Key: key, Err: err}
 		}
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return &OpError{Op: "put", Key: key, Err: fmt.Errorf("encode: %w", err)}
-	}
-	data, err := json.Marshal(envelope{
-		Version: FormatVersion, Key: key, Sum: payloadSum(payload), Payload: payload,
-	})
-	if err != nil {
-		return &OpError{Op: "put", Key: key, Err: fmt.Errorf("encode: %w", err)}
-	}
-	path := s.Path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := WriteFrame(s.Path(key), FormatVersion, key, rec); err != nil {
 		return &OpError{Op: "put", Key: key, Err: err}
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".put-*")
-	if err != nil {
-		return &OpError{Op: "put", Key: key, Err: err}
-	}
-	_, werr := tmp.Write(append(data, '\n'))
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return &OpError{Op: "put", Key: key, Err: werr}
 	}
 	return nil
 }
