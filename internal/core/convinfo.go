@@ -79,6 +79,11 @@ func NewConvInfo(p conv.Params, l lowering.Layout) (ConvInfo, error) {
 	if wp*hp*uint64(p.C) > 1<<32 {
 		return ConvInfo{}, fmt.Errorf("duplo: per-image element space exceeds 32-bit element ID")
 	}
+	// The ID generator indexes workspace elements in 32 bits; a larger
+	// workspace would wrap the index and alias IDs.
+	if elems := uint64(p.GemmM()) * uint64(l.KPad); elems > 1<<32 {
+		return ConvInfo{}, fmt.Errorf("duplo: workspace of %d elements (%d rows x %d) exceeds the 2^32-element index", elems, p.GemmM(), l.KPad)
+	}
 	return ci, nil
 }
 

@@ -1,6 +1,8 @@
 package duplo
 
 import (
+	"math/bits"
+
 	"duplo/internal/conv"
 	"duplo/internal/lowering"
 )
@@ -97,6 +99,10 @@ func (d *DetectionUnit) Awake() bool { return d.awake }
 // Latency returns the detection latency in cycles, overlapped with L1.
 func (d *DetectionUnit) Latency() int { return d.cfg.LatencyCycles }
 
+// TileRows is the number of row loads one tensor-core load expands into:
+// a wmma.load fetches a 16x16 tile one 16-element row at a time (§II-B).
+const TileRows = 16
+
 // Access processes one tensor-core-load: warp and arch identify the
 // destination register group, addr is the load address, and meta is stored
 // with a newly allocated entry (the simulator passes the load's data-ready
@@ -111,16 +117,48 @@ func (d *DetectionUnit) Access(warp, arch int, addr uint64, meta int64) (AccessR
 		return AccessResult{Kind: AccessBypass, Reg: InvalidReg}, seq
 	}
 	id, st := d.gen.IDs(addr)
-	if st != StatusOK {
-		return AccessResult{Kind: AccessBypass, Reg: InvalidReg}, seq
+	return d.access(warp, arch, id, st == StatusOK, seq, meta), seq
+}
+
+// AccessTile is Access, with meta 0, for the TileRows row loads of one
+// tensor-core load: row r reads addr + r*pitch, takes sequence number
+// seq+r and resolves into res[r], in row order. The rows' IDs come from one
+// IDGen.TileIDs call. The returned seq is what RetireTile takes when the
+// load retires.
+func (d *DetectionUnit) AccessTile(warp, arch int, addr uint64, pitch uint32, res *[TileRows]AccessResult) (seq uint64) {
+	seq = d.seq
+	d.seq += TileRows
+	var ids [TileRows]ID
+	ok := d.tileIDs(addr, pitch, &ids)
+	for r := range res {
+		res[r] = d.access(warp, arch, ids[r], ok>>r&1 != 0, seq+uint64(r), 0)
+	}
+	return seq
+}
+
+// access resolves one row load with sequence number seq whose ID is id; a
+// row that is not tracked (outside the workspace, a padding column, or a
+// powered-down unit) bypasses the buffer.
+func (d *DetectionUnit) access(warp, arch int, id ID, tracked bool, seq uint64, meta int64) AccessResult {
+	if !tracked {
+		return AccessResult{Kind: AccessBypass, Reg: InvalidReg}
 	}
 	if reg, m, hit := d.lhb.Lookup(id, seq); hit {
 		d.renames.RenameTo(warp, arch, reg)
-		return AccessResult{Kind: AccessHit, Reg: reg, ID: id, Meta: m}, seq
+		return AccessResult{Kind: AccessHit, Reg: reg, ID: id, Meta: m}
 	}
 	reg := d.renames.Alloc(warp, arch)
 	d.lhb.Insert(id, reg, seq, meta)
-	return AccessResult{Kind: AccessMiss, Reg: reg, ID: id}, seq
+	return AccessResult{Kind: AccessMiss, Reg: reg, ID: id}
+}
+
+// tileIDs is IDGen.TileIDs, with no row tracked while the unit is
+// powered down.
+func (d *DetectionUnit) tileIDs(addr uint64, pitch uint32, ids *[TileRows]ID) uint16 {
+	if !d.awake {
+		return 0
+	}
+	return d.gen.TileIDs(addr, pitch, ids)
 }
 
 // SetMeta updates the metadata of the entry currently mapping id, if live.
@@ -137,6 +175,17 @@ func (d *DetectionUnit) Retire(addr, seq uint64) {
 	}
 	if id, st := d.gen.IDs(addr); st == StatusOK {
 		d.lhb.Retire(id, seq)
+	}
+}
+
+// RetireTile is Retire for the TileRows row loads of one tensor-core load
+// that AccessTile resolved from addr and pitch under sequence numbers
+// seq, seq+1, ...: it regenerates their IDs with one TileIDs call.
+func (d *DetectionUnit) RetireTile(addr uint64, pitch uint32, seq uint64) {
+	var ids [TileRows]ID
+	for ok := d.tileIDs(addr, pitch, &ids); ok != 0; ok &= ok - 1 {
+		r := bits.TrailingZeros16(ok)
+		d.lhb.Retire(ids[r], seq+uint64(r))
 	}
 }
 

@@ -43,6 +43,14 @@ func FuzzDetectionUnitProgram(f *testing.F) {
 			_, seq := du.Access(i%8, i%32, addr, int64(i))
 			du.Retire(addr, seq)
 		}
+		// Whole tiles at the workspace pitch, from below the base on.
+		pitch := kpad * uint32(elem)
+		for i := uint64(0); i < 4; i++ {
+			addr := base - TileRows*uint64(pitch) + i*7*uint64(pitch)
+			var res [TileRows]AccessResult
+			seq := du.AccessTile(0, 0, addr, pitch, &res)
+			du.RetireTile(addr, pitch, seq)
+		}
 		du.Store(base)
 	})
 }

@@ -42,6 +42,8 @@ type IDGen struct {
 
 	base     uint64
 	bytes    uint64
+	rows     uint64 // workspace rows M = N*OutH*OutW
+	pitch    uint64 // workspace row pitch in bytes, KPad*ElemSize
 	elemSize uint32
 	k        uint32 // logical columns FH*FW*C
 
@@ -64,6 +66,8 @@ func NewIDGen(ci ConvInfo) *IDGen {
 		info:     ci,
 		base:     ci.Base,
 		bytes:    rows * uint64(ci.KPad) * uint64(ci.ElemSize),
+		rows:     rows,
+		pitch:    uint64(ci.KPad) * uint64(ci.ElemSize),
 		elemSize: uint32(ci.ElemSize),
 		k:        k,
 		divKPad:  newDivider(ci.KPad),
@@ -104,9 +108,58 @@ func (g *IDGen) FromCoords(row, col uint32) ID {
 	batch, rowIm := g.divOutHW.DivMod(row)
 	oy, ox := g.divOutW.DivMod(rowIm)
 	fy, fxc := g.divFWC.DivMod(col) // fxc = fx*C + ch
-	// element_id = ox*C*S + (fx*C + ch) + (oy*S + fy) * Wp*C   (§III-C)
-	elem := ox*g.cs + fxc + (oy*g.stride+fy)*g.wpc
-	return ID{Batch: batch, Elem: elem}
+	return ID{Batch: batch, Elem: g.elem(oy, ox, fy, fxc)}
+}
+
+// elem is the element ID of output position (oy, ox) at filter tap
+// (fy, fxc = fx*C + ch):
+// element_id = ox*C*S + (fx*C + ch) + (oy*S + fy) * Wp*C   (§III-C).
+func (g *IDGen) elem(oy, ox, fy, fxc uint32) uint32 {
+	return ox*g.cs + fxc + (oy*g.stride+fy)*g.wpc
+}
+
+// TileIDs decodes the IDs of the TileRows row loads of one tensor-core
+// load, row r at addr + r*pitch, into ids. It returns a mask whose bit r is
+// set when row r is a workspace element (IDs' StatusOK); every other row
+// bypasses the LHB and gets ID{}.
+//
+// An A-tile load steps one workspace row per row load, so its rows are
+// consecutive GEMM rows of one column: TileIDs runs the divide chain for
+// row 0 only and steps (ox, oy, batch) for the rest, stopping at row M,
+// where the workspace ends. At any other pitch, or from an address outside
+// the workspace, it decodes each row with IDs.
+func (g *IDGen) TileIDs(addr uint64, pitch uint32, ids *[TileRows]ID) (ok uint16) {
+	if uint64(pitch) != g.pitch || !g.InWorkspace(addr) {
+		for r := range ids {
+			id, st := g.IDs(addr + uint64(r)*uint64(pitch))
+			ids[r] = id
+			if st == StatusOK {
+				ok |= 1 << r
+			}
+		}
+		return ok
+	}
+	*ids = [TileRows]ID{}
+	row, col := g.divKPad.DivMod(uint32((addr - g.base) / uint64(g.elemSize)))
+	if col >= g.k {
+		return 0 // a K-padding column, in every row
+	}
+	batch, rowIm := g.divOutHW.DivMod(row)
+	oy, ox := g.divOutW.DivMod(rowIm)
+	fy, fxc := g.divFWC.DivMod(col)
+	outH, outW := uint32(g.info.OutH), uint32(g.info.OutW)
+	for r := 0; r < TileRows && uint64(row)+uint64(r) < g.rows; r++ {
+		ids[r] = ID{Batch: batch, Elem: g.elem(oy, ox, fy, fxc)}
+		ok |= 1 << r
+		if ox++; ox == outW {
+			ox = 0
+			if oy++; oy == outH {
+				oy = 0
+				batch++
+			}
+		}
+	}
+	return ok
 }
 
 // HardwareFriendly reports whether every divider in the generator

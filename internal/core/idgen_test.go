@@ -2,10 +2,12 @@ package duplo
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"duplo/internal/conv"
 	"duplo/internal/lowering"
+	"duplo/internal/workload"
 )
 
 var fig6Params = conv.Params{N: 1, H: 4, W: 4, C: 1, K: 1, FH: 3, FW: 3, Pad: 0, Stride: 1}
@@ -172,6 +174,72 @@ func TestIDGenMatchesSemantic(t *testing.T) {
 	}
 }
 
+// TileIDs must decode every row of a tile exactly as IDs does per row, on
+// every Table I layer: tiles whose rows cross an output row (ox wraps), an
+// image's last output row (oy and batch wrap) and the workspace's end (rows
+// past M), tiles in padding columns, tiles below and past the workspace
+// (the filter matrix B sits past it), tiles at the filter matrix's pitch
+// and at other non-workspace pitches, and random workspace tiles.
+func TestTileIDsMatchPerRow(t *testing.T) {
+	const base = 0x10000
+	for _, l := range workload.AllLayers() {
+		p := l.GemmParams()
+		layout := lowering.NewLayout(p, base, 2)
+		ci, err := NewConvInfo(p, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewIDGen(ci)
+		check := func(what string, addr uint64, pitch uint32) (ok uint16) {
+			t.Helper()
+			var ids [TileRows]ID
+			ok = g.TileIDs(addr, pitch, &ids)
+			for r := range ids {
+				id, st := g.IDs(addr + uint64(r)*uint64(pitch))
+				if ids[r] != id || (ok>>r&1 != 0) != (st == StatusOK) {
+					t.Fatalf("%s %s: tile at %#x pitch %d, row %d: TileIDs %+v (tracked %v); IDs %+v (%v)",
+						l.FullName(), what, addr, pitch, r, ids[r], ok>>r&1 != 0, id, st)
+				}
+			}
+			return ok
+		}
+		pitch := uint32(layout.KPad * layout.ElemSize)
+		m, ohw, ow := p.GemmM(), p.OutH()*p.OutW(), p.OutW()
+		for _, e := range []struct {
+			what string
+			row  int
+		}{
+			{"first row", 0}, {"ox wrap", ow - 3}, {"mid-image start", ohw/2 + 1},
+			{"oy+batch wrap", ohw - 5}, {"second image", 2*ohw - 1},
+			{"rows past M", m - 7}, {"last row", m - 1},
+		} {
+			for _, col := range []int{0, 5, layout.K - 1} {
+				check(e.what, layout.Addr(e.row, col), pitch)
+			}
+		}
+		if got := check("rows past M", layout.Addr(m-7, 0), pitch); got != 1<<7-1 {
+			t.Fatalf("%s: tile from row M-7 tracks rows %016b, want the first 7", l.FullName(), got)
+		}
+		if layout.KPad > layout.K {
+			if got := check("pad column", layout.Addr(ohw-5, layout.K), pitch); got != 0 {
+				t.Fatalf("%s: a padding-column tile tracks rows %016b", l.FullName(), got)
+			}
+		}
+		check("below the workspace", base-3*uint64(pitch), pitch)
+		bPitch := uint32(lowering.RoundUp(p.K, lowering.Tile) * layout.ElemSize)
+		if got := check("B region", base+layout.Bytes()+64, bPitch); got != 0 {
+			t.Fatalf("%s: a B-region tile tracks rows %016b", l.FullName(), got)
+		}
+		check("B pitch in the workspace", layout.Addr(ohw-5, 0), bPitch)
+		check("pitch + 2", layout.Addr(ow-3, 5), pitch+2)
+		check("double pitch", layout.Addr(ohw-5, 5), 2*pitch)
+		rng := rand.New(rand.NewSource(int64(m)))
+		for i := 0; i < 200; i++ {
+			check("random", layout.Addr(rng.Intn(m), rng.Intn(layout.KPad)), pitch)
+		}
+	}
+}
+
 // Batch IDs differentiate images: same within-image position in different
 // images must differ in Batch but share Elem (§III-C).
 func TestBatchDifferentiation(t *testing.T) {
@@ -227,5 +295,22 @@ func TestConvInfoBatchLimit(t *testing.T) {
 	p := conv.Params{N: 2048, H: 4, W: 4, C: 1, K: 1, FH: 3, FW: 3, Pad: 0, Stride: 1}
 	if _, err := NewConvInfo(p, lowering.NewLayout(p, 0, 2)); err == nil {
 		t.Fatal("expected batch-limit error (10-bit batch ID)")
+	}
+}
+
+// The ID generator indexes workspace elements in 32 bits, so a workspace
+// of more than 2^32 elements must be rejected: batch 1024 of a 56x56x256
+// 3x3 layer has M*KPad = 3,211,264 x 2,304 = 7.4G elements, and its row
+// 2,000,000, column 5 would decode to {43 299525} where SemanticIDs gives
+// {637 627717}. The largest batch that fits is accepted.
+func TestConvInfoWorkspaceIndexLimit(t *testing.T) {
+	p := conv.Params{N: 1024, H: 56, W: 56, C: 256, K: 256, FH: 3, FW: 3, Pad: 1, Stride: 1}
+	_, err := NewConvInfo(p, lowering.NewLayout(p, 0, 2))
+	if err == nil || !strings.Contains(err.Error(), "2^32") {
+		t.Fatalf("NewConvInfo(%v) = %v, want an error naming the 2^32-element index", p, err)
+	}
+	p.N = 1 << 32 / (p.OutH() * p.OutW() * 2304) // the largest batch that fits
+	if _, err := NewConvInfo(p, lowering.NewLayout(p, 0, 2)); err != nil {
+		t.Fatalf("batch %d (%d elements): %v", p.N, p.GemmM()*2304, err)
 	}
 }

@@ -151,10 +151,14 @@ func TestEventClockSkips(t *testing.T) {
 }
 
 // TestDueCyclesMatchScan ticks one SM of a quick cell (ResNet/C2, 12 CTAs,
-// the 2-SM slice's memory system) cycle by cycle, Duplo off and on, and
-// after every tick requires retireDue and ldstDue to equal a full scan of
-// the live warps' ROB heads and of ldstBusy. The clock differential cannot
-// catch a wrong gate, because both clocks run the same tick.
+// the 2-SM slice's memory system) cycle by cycle, Duplo off and on. After
+// every tick it requires retireDue and ldstDue to equal a full scan of the
+// live warps' ROB heads and of ldstBusy, and each scheduler that is asleep
+// (schedWake > now) to have the wake and LDST-blocked flag a full scan of
+// its warps' gates gives. A scheduler the tick skipped must also hold no
+// warp that could issue, by an issue test written apart from gate
+// (issuableNow). The clock differential cannot catch a wrong due cycle,
+// because both clocks run the same tick.
 func TestDueCyclesMatchScan(t *testing.T) {
 	l, err := workload.Find("ResNet", "C2")
 	if err != nil {
@@ -181,10 +185,14 @@ func TestDueCyclesMatchScan(t *testing.T) {
 		}
 		g.sms = []*smState{sm}
 		g.dispatchTo(sm)
-		now := int64(0)
+		now, skipped := int64(0), 0
+		asleep := make([]bool, cfg.Schedulers)
 		for ; sm.busy(); now++ {
 			if now > 1<<24 {
 				t.Fatalf("duplo=%v: still busy at cycle %d", on, now)
+			}
+			for sid, wake := range sm.schedWake {
+				asleep[sid] = now < wake
 			}
 			sm.tick(now)
 			retire, ldst := farFuture, farFuture
@@ -200,17 +208,66 @@ func TestDueCyclesMatchScan(t *testing.T) {
 				t.Fatalf("duplo=%v, cycle %d: retireDue %d, ldstDue %d; a full scan gives %d, %d",
 					on, now, sm.retireDue, sm.ldstDue, retire, ldst)
 			}
+			for sid := range sm.schedWake {
+				if sm.schedWake[sid] <= now {
+					continue // sid issued this cycle: it runs again next cycle
+				}
+				wake, blocked := farFuture, false
+				for s := sid; s < len(sm.warps); s += cfg.Schedulers {
+					w := &sm.warps[s]
+					if !w.active || w.pc >= w.prog.Len() {
+						continue
+					}
+					at, why := sm.gate(sid, w, now)
+					wake, blocked = min(wake, at), blocked || why == gateLDST
+					if !asleep[sid] {
+						continue
+					}
+					if ok, full := issuableNow(sm, sid, w, now); ok || full != (why == gateLDST) {
+						t.Fatalf("duplo=%v, cycle %d: scheduler %d skipped with warp %d issuable=%v, queue-held=%v (gate %d, %d)",
+							on, now, sid, s, ok, full, at, why)
+					}
+				}
+				if sm.schedWake[sid] != wake || sm.schedBlocked[sid] != blocked {
+					t.Fatalf("duplo=%v, cycle %d: scheduler %d wakes at %d (LDST-blocked %v); a full scan gives %d (%v)",
+						on, now, sid, sm.schedWake[sid], sm.schedBlocked[sid], wake, blocked)
+				}
+				if asleep[sid] {
+					skipped++
+				}
+			}
 		}
-		if g.nextCTA != g.totalCTAs || (on && sm.stats.LoadsEliminated == 0) {
-			t.Fatalf("duplo=%v: ran %d of %d CTAs in %d cycles, %d loads eliminated",
-				on, g.nextCTA, g.totalCTAs, now, sm.stats.LoadsEliminated)
+		if g.nextCTA != g.totalCTAs || (on && sm.stats.LoadsEliminated == 0) || skipped == 0 {
+			t.Fatalf("duplo=%v: ran %d of %d CTAs in %d cycles, %d loads eliminated, %d scheduler passes skipped",
+				on, g.nextCTA, g.totalCTAs, now, sm.stats.LoadsEliminated, skipped)
 		}
 	}
 }
 
+// issuableNow is the issue test written from the ISA, apart from gate:
+// whether warp w's current instruction can issue at cycle now on scheduler
+// sid, and whether it waits only on a full LDST queue.
+func issuableNow(sm *smState, sid int, w *warpCtx, now int64) (ok, queueHeld bool) {
+	in := w.prog.At(w.pc)
+	switch in.Op {
+	case OpMMA:
+		ready := w.regReady[in.SrcA] <= now && w.regReady[in.SrcB] <= now && w.regReady[in.Dst] <= now
+		return ready && sm.pbFree[sid] <= now, false
+	case OpStoreD:
+		in.Dst = in.SrcA // a store reads the accumulator it writes out
+	}
+	if w.regReady[in.Dst] > now {
+		return false, false
+	}
+	full := len(sm.ldstBusy) >= sm.cfg.LDSTQueueDepth
+	return !full, full
+}
+
 // TestNextWakeNeverInPast: a fully-stalled SM's nextWake must always be in
 // the future (> now), whatever stale state it holds — the infinite-loop /
-// clock-reversal guard of the event-driven dispatcher.
+// clock-reversal guard of the event-driven dispatcher. nextWake reads the
+// scheduler wakes that passes which issued nothing recorded, so the cases
+// that set registers reach their state through such a pass.
 func TestNextWakeNeverInPast(t *testing.T) {
 	cfg := testConfig()
 	var stats Stats
@@ -218,6 +275,24 @@ func TestNextWakeNeverInPast(t *testing.T) {
 	k, err := NewConvKernel("wake", testLayer)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// gateAll makes every live warp's registers ready at cycle ready and
+	// runs each scheduler's pass at cycle at < ready, which must issue
+	// nothing.
+	gateAll := func(sm *smState, ready, at int64) {
+		t.Helper()
+		for s := range sm.warps {
+			if w := &sm.warps[s]; w.active {
+				for i := range w.regReady {
+					w.regReady[i] = ready
+				}
+			}
+		}
+		for sid := range sm.schedWake {
+			if sm.scheduleOne(sid, at) {
+				t.Fatalf("scheduler %d issued at cycle %d with every register busy until %d", sid, at, ready)
+			}
+		}
 	}
 	sm := newSM(cfg, 0, mem, &gpuState{cfg: cfg})
 	sm.placeCTA(k, 0, 1)
@@ -230,24 +305,17 @@ func TestNextWakeNeverInPast(t *testing.T) {
 		}
 	}
 
-	// Fresh warps: loads are register-ready with an empty LDST queue — the
-	// "inconsistent" branch must clamp to now+1, not report no event.
+	// Fresh warps: placement reset every scheduler's wake to cycle 0,
+	// which must clamp to now+1, not report no event.
 	check("fresh CTA")
 
-	// Registers busy far in the past (stale scoreboard).
-	for s := range sm.warps {
-		w := &sm.warps[s]
-		if !w.active {
-			continue
-		}
-		for i := range w.regReady {
-			w.regReady[i] = now - 50
-		}
-	}
+	// Registers busy until a cycle in the past (stale scoreboard): the
+	// pass that found them busy recorded wakes before now.
+	gateAll(sm, now-50, now-60)
 	check("stale regReady")
 
-	// Stale queue, ROB, LHB-release and L1-port events, all before now,
-	// pushed through the helpers that maintain ldstDue and retireDue.
+	// Stale queue, ROB and LHB-release events, all before now, pushed
+	// through the helpers that maintain ldstDue and retireDue.
 	sm.ldstPush(now - 10)
 	check("stale ldstBusy")
 	for s := range sm.warps {
@@ -260,21 +328,11 @@ func TestNextWakeNeverInPast(t *testing.T) {
 	check("stale ROB head")
 	sm.lhbRelease = append(sm.lhbRelease, lhbReleaseEvt{at: now - 1})
 	check("stale lhbRelease")
-	sm.l1Port = now - 5
-	check("stale l1Port")
 
 	// Sanity: genuine future events are still honored (min, not clamp).
 	sm2 := newSM(cfg, 1, mem, &gpuState{cfg: cfg})
 	sm2.placeCTA(k, 0, 1)
-	for s := range sm2.warps {
-		w := &sm2.warps[s]
-		if !w.active {
-			continue
-		}
-		for i := range w.regReady {
-			w.regReady[i] = now + 400
-		}
-	}
+	gateAll(sm2, now+400, now)
 	if w := sm2.nextWake(now); w != now+400 {
 		t.Fatalf("future regReady: nextWake = %d, want %d", w, now+400)
 	}

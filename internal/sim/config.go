@@ -87,9 +87,10 @@ type Config struct {
 	// DESIGN.md §3).
 	MaxCTAs int
 
-	// DenseClock ticks every SM on every cycle instead of the default
-	// per-SM clock, which ticks an SM only on cycles where it can act and
-	// accounts its skipped cycles arithmetically. Results are
+	// DenseClock ticks every SM, and runs every warp scheduler, on every
+	// cycle instead of the default per-SM clock, which ticks an SM (and
+	// runs a scheduler) only on cycles where it can act and accounts its
+	// skipped cycles arithmetically. Results are
 	// byte-identical either way (the differential tests in clock_test.go
 	// are the gate); the dense loop is their oracle and the baseline for
 	// the clocking benchmarks.

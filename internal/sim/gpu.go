@@ -195,11 +195,13 @@ const maxSimCycles = int64(4) << 30
 // to the earliest wake over all SMs, so a cycle ticks only the SMs that
 // can act there. A sleeping SM's skipped ticks are accounted
 // arithmetically (stall counters and one trace span) when it next ticks,
-// at run end, and before a crash dump. Every Stats field (including
-// IssueStallCycles / LDSTStallCycles) is byte-identical to the dense
-// loop that ticks every SM on every cycle, which remains available behind
-// cfg.DenseClock (asserted by TestClockModesByteIdentical; see DESIGN.md
-// §3 "Clocking").
+// at run end, and before a crash dump. Inside a tick, each warp scheduler
+// whose last pass issued nothing keeps its own wake, the earliest cycle
+// one of its warps can issue, and until then stalls without a pass. Every
+// Stats field (including IssueStallCycles / LDSTStallCycles) is
+// byte-identical to the dense loop that ticks every SM and runs every
+// scheduler on every cycle, which remains available behind cfg.DenseClock
+// (asserted by TestClockModesByteIdentical; see DESIGN.md §3 "Clocking").
 //
 // Observability: with cfg.Tracer set, every SM emits pipeline events
 // (issues, stalls, skipped spans, LHB hits/releases, memory-level

@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	duplo "duplo/internal/core"
+)
 
 // Op is the warp-level instruction kind of the tensor-core GEMM kernel.
 type Op uint8
@@ -48,7 +52,9 @@ type Instr struct {
 	RowBytes uint16
 }
 
-const tileRows = 16
+// tileRows is the number of row-vector loads one wmma.load expands into,
+// the detection unit's unit of work.
+const tileRows = duplo.TileRows
 
 // relocateInstr rebases a canonical-program instruction to a warp's
 // absolute tile origin (kernel.warpOffsets). MMA steps carry no address

@@ -235,8 +235,9 @@ func TestWarpProgramLazyConcurrentFirstUse(t *testing.T) {
 
 // TestHotPathAllocs: once a kernel's warp programs are built, placing a
 // CTA, decoding an instruction (warpProgram.At, then relocateInstr),
-// splitting a tile access into cache lines (lineSpan), a cache access, and
-// a Duplo row access plus its retire allocate nothing. AllocsPerRun's
+// splitting a tile access into cache lines (lineSpan), a cache access, a
+// Duplo row access plus its retire, and a whole tile's (AccessTile,
+// RetireTile) allocate nothing. AllocsPerRun's
 // warm-up call absorbs the program build and the oracle's first growth.
 func TestHotPathAllocs(t *testing.T) {
 	k, err := NewConvKernel("allocs", testLayer)
@@ -301,6 +302,11 @@ func TestHotPathAllocs(t *testing.T) {
 				_, seq := du.Access(0, 0, addr, 0)
 				du.Retire(addr, seq)
 			}
+		})
+		check(fmt.Sprintf("duplo AccessTile+RetireTile (%+v)", lhb), func() {
+			var res [tileRows]duplo.AccessResult
+			seq := du.AccessTile(0, 0, load.Addr, load.RowPitch, &res)
+			du.RetireTile(load.Addr, load.RowPitch, seq)
 		})
 	}
 }

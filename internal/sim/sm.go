@@ -105,6 +105,15 @@ type smState struct {
 	greedy    []int // per-scheduler greedy warp slot (GTO)
 	ldstBusy  []int64
 
+	// schedWake[sid] is the first cycle at which scheduler sid can issue,
+	// as its last pass that issued nothing found it: the earliest gate over
+	// its live warps. schedBlocked[sid] records whether that pass found a
+	// warp waiting on the full LDST queue. Until schedWake[sid], tick
+	// charges sid's stall without running it (scheduleOne has the proof);
+	// activateSlot resets the wake, since a placed warp can issue at once.
+	schedWake    []int64
+	schedBlocked []bool
+
 	// The cycles at which tick's scans next have work (farFuture: none):
 	// retireDue is the earliest head-ROB completion over the live warps,
 	// and ldstDue the earliest ldstBusy completion. Only retire pops a ROB
@@ -146,6 +155,8 @@ func newSM(cfg Config, id int, mem *memSystem, gpu *gpuState) *smState {
 		pbFree:       make([]int64, cfg.Schedulers),
 		warps:        make([]warpCtx, cfg.MaxWarpsPerSM),
 		greedy:       make([]int, cfg.Schedulers),
+		schedWake:    make([]int64, cfg.Schedulers),
+		schedBlocked: make([]bool, cfg.Schedulers),
 		ctaWarpsLeft: make(map[int]int),
 		lineBuf:      make([]uint64, 0, 64),
 		mshrSweepAt:  mshrSweepMin,
@@ -165,11 +176,12 @@ func newSM(cfg Config, id int, mem *memSystem, gpu *gpuState) *smState {
 }
 
 // activateSlot marks warp slot s live in both scoreboards (warps[s].active
-// is set by the caller's slot initialization).
+// is set by the caller's slot initialization) and wakes its scheduler.
 func (sm *smState) activateSlot(s int) {
 	sm.liveMask[s>>6] |= 1 << uint(s&63)
-	k := s / sm.cfg.Schedulers
-	sm.schedLive[s%sm.cfg.Schedulers][k>>6] |= 1 << uint(k&63)
+	sid, k := s%sm.cfg.Schedulers, s/sm.cfg.Schedulers
+	sm.schedLive[sid][k>>6] |= 1 << uint(k&63)
+	sm.schedWake[sid] = 0
 }
 
 // deactivateSlot retires warp slot s from both scoreboards.
@@ -239,10 +251,11 @@ func (sm *smState) placeCTA(k *Kernel, cta int, launchSeq int64) {
 }
 
 // tick advances the SM by one cycle: LHB releases, retirement, LDST queue
-// drain, then one scheduling attempt per warp scheduler. It returns how
-// many instructions issued, and records the cycle and how many schedulers
-// stalled on a full LDST queue, which settle charges to every cycle the
-// SM then skips.
+// drain, then one scheduling attempt per warp scheduler. A scheduler whose
+// wake has not come stalls without a pass (unless cfg.DenseClock), as its
+// pass would have. It returns how many instructions issued, and records
+// the cycle and how many schedulers stalled on a full LDST queue, which
+// settle charges to every cycle the SM then skips.
 func (sm *smState) tick(now int64) (issued int) {
 	sm.releaseLHB(now)
 	if sm.retireDue <= now {
@@ -255,17 +268,22 @@ func (sm *smState) tick(now int64) (issued int) {
 		sm.sweepMSHR(now)
 	}
 	ldstBlocked := 0
-	for sid := 0; sid < sm.cfg.Schedulers; sid++ {
-		ok, blocked := sm.scheduleOne(sid, now)
-		if ok {
+	for sid, wake := range sm.schedWake {
+		if (sm.cfg.DenseClock || wake <= now) && sm.scheduleOne(sid, now) {
 			issued++
-		} else if blocked {
+			continue
+		}
+		// Scheduler sid stalls: its last pass, this cycle or before its
+		// wake, recorded whether the LDST queue holds it.
+		sm.stats.IssueStallCycles++
+		if sm.schedBlocked[sid] {
+			sm.stats.LDSTStallCycles++
 			ldstBlocked++
 		}
 	}
 	if sm.tr != nil && issued < sm.cfg.Schedulers {
 		// Every non-issuing scheduler counted one IssueStallCycle this
-		// tick (scheduleOne); fold them into a single stall event.
+		// tick; fold them into a single stall event.
 		sm.tr.Emit(sm.id, trace.Event{
 			Cycle: now, Kind: trace.KindStall,
 			A: int64(sm.cfg.Schedulers - issued), B: int64(ldstBlocked),
@@ -372,9 +390,7 @@ func (sm *smState) releaseLHB(now int64) {
 	i := 0
 	for i < len(sm.lhbRelease) && sm.lhbRelease[i].at <= now {
 		e := &sm.lhbRelease[i]
-		for r := uint64(0); r < tileRows; r++ {
-			sm.du.Retire(e.addr+r*uint64(e.pitch), e.seq+r)
-		}
+		sm.du.RetireTile(e.addr, e.pitch, e.seq)
 		if sm.tr != nil {
 			sm.tr.Emit(sm.id, trace.Event{
 				Cycle: now, Kind: trace.KindLHBRelease,
@@ -432,30 +448,40 @@ func (sm *smState) sweepMSHR(now int64) {
 	sm.mshrSweepAt = max(mshrSweepMin, 2*sm.mshr.Len())
 }
 
-// scheduleOne runs one warp scheduler for one cycle: greedy-then-oldest.
-// It reports whether an instruction issued and, when it did not, whether
-// the stall was (at least partly) caused by a full LDST queue.
-func (sm *smState) scheduleOne(sid int, now int64) (issued, blocked bool) {
+// scheduleOne runs one warp scheduler for one cycle, greedy-then-oldest,
+// and reports whether it issued. A pass that issues nothing has gated every
+// live warp of sid, so it records the earliest gate in schedWake[sid] and
+// whether any warp waits on the full LDST queue in schedBlocked[sid].
+//
+// Until that wake, a pass would find the same: a gate reads only the
+// warp's regReady and pc, pbFree[sid] and len(ldstBusy). The first three
+// change only when sid issues; the queue shrinks only at ldstDue, and a
+// full queue takes no push, so a warp waiting on it waits until ldstDue;
+// a register-gated warp's queue wait starts at its gate, which the wake
+// covers. A placed warp resets the wake (activateSlot).
+func (sm *smState) scheduleOne(sid int, now int64) bool {
+	wake, blocked := farFuture, false
+	gated := func(at int64, why gateReason) {
+		wake = min(wake, at)
+		blocked = blocked || why == gateLDST
+	}
 	// Candidate order: the greedy warp first, then all of this scheduler's
 	// warps oldest-first.
-	ldstBlocked := false
-	try := func(s int) bool {
-		w := &sm.warps[s]
-		if !w.active || w.pc >= w.prog.Len() {
-			return false
+	g := sm.greedy[sid]
+	if g >= 0 {
+		if w := &sm.warps[g]; w.active && w.pc < w.prog.Len() {
+			at, why := sm.gate(sid, w, now)
+			if at <= now {
+				sm.issue(sid, w, now)
+				return true
+			}
+			gated(at, why)
 		}
-		ok, blocked := sm.tryIssue(sid, w, now)
-		if blocked {
-			ldstBlocked = true
-		}
-		return ok
-	}
-	if g := sm.greedy[sid]; g >= 0 && try(g) {
-		return true, false
 	}
 	// Oldest-first scan over this scheduler's live warp slots (the
 	// schedLive scoreboard walks them in the same ascending-slot order as
-	// the pre-bitset strided loop).
+	// the pre-bitset strided loop). Once a warp can issue, only older ones
+	// are gated; a pass that issues nothing gates them all.
 	best := -1
 	var bestAge int64 = 1 << 62
 	for wi, word := range sm.schedLive[sid] {
@@ -464,70 +490,69 @@ func (sm *smState) scheduleOne(sid int, now int64) (issued, blocked bool) {
 			word &^= 1 << uint(b)
 			s := (wi<<6+b)*sm.cfg.Schedulers + sid
 			w := &sm.warps[s]
-			if w.pc >= w.prog.Len() || s == sm.greedy[sid] {
+			if w.pc >= w.prog.Len() || s == g || w.age >= bestAge {
 				continue
 			}
-			if w.age < bestAge {
-				// Try in age order lazily: collect the oldest issuable.
-				if ok, blocked := sm.canIssue(sid, w, now); ok {
-					bestAge = w.age
-					best = s
-				} else if blocked {
-					ldstBlocked = true
-				}
+			if at, why := sm.gate(sid, w, now); at <= now {
+				best, bestAge = s, w.age
+			} else {
+				gated(at, why)
 			}
 		}
 	}
 	if best >= 0 {
-		w := &sm.warps[best]
-		sm.tryIssue(sid, w, now)
+		sm.issue(sid, &sm.warps[best], now)
 		sm.greedy[sid] = best
-		return true, false
+		return true
 	}
 	sm.greedy[sid] = -1
-	sm.stats.IssueStallCycles++
-	if ldstBlocked {
-		sm.stats.LDSTStallCycles++
-	}
-	return false, ldstBlocked
+	sm.schedWake[sid], sm.schedBlocked[sid] = wake, blocked
+	return false
 }
 
-// canIssue checks issueability without side effects.
-func (sm *smState) canIssue(sid int, w *warpCtx, now int64) (ok, ldstBlocked bool) {
+// gateReason names what holds a warp's current instruction back.
+type gateReason uint8
+
+const (
+	gateOpen gateReason = iota // issuable now
+	gateReg                    // a source or destination register is not ready
+	gatePB                     // an MMA's processing block is busy
+	gateLDST                   // a load or store finds the LDST queue full
+)
+
+// gate returns the first cycle at which warp w's current instruction can
+// issue on scheduler sid (<= now: it can issue now) and the reason it
+// waits. The cycle is exact while neither sid issues nor the LDST queue
+// drains: an MMA waits for the latest of its three registers, then for
+// its processing block; a load or store waits for its register, then, on a
+// full queue, for the queue's next drain at ldstDue.
+func (sm *smState) gate(sid int, w *warpCtx, now int64) (int64, gateReason) {
 	w.decode()
 	in := &w.cur
-	switch in.Op {
-	case OpLoadA, OpLoadB:
-		if w.regReady[in.Dst] > now {
-			return false, false
+	if in.Op == OpMMA {
+		if at := max(w.regReady[in.SrcA], w.regReady[in.SrcB], w.regReady[in.Dst]); at > now {
+			return max(at, sm.pbFree[sid]), gateReg
 		}
-		if len(sm.ldstBusy) >= sm.cfg.LDSTQueueDepth {
-			return false, true
+		if at := sm.pbFree[sid]; at > now {
+			return at, gatePB
 		}
-	case OpMMA:
-		if w.regReady[in.SrcA] > now || w.regReady[in.SrcB] > now || w.regReady[in.Dst] > now {
-			return false, false
-		}
-		if sm.pbFree[sid] > now {
-			return false, false
-		}
-	case OpStoreD:
-		if w.regReady[in.SrcA] > now {
-			return false, false
-		}
-		if len(sm.ldstBusy) >= sm.cfg.LDSTQueueDepth {
-			return false, true
-		}
+		return now, gateOpen
 	}
-	return true, false
+	reg := in.Dst // a load's destination; a store's source
+	if in.Op == OpStoreD {
+		reg = in.SrcA
+	}
+	if at := w.regReady[reg]; at > now {
+		return at, gateReg
+	}
+	if len(sm.ldstBusy) >= sm.cfg.LDSTQueueDepth {
+		return sm.ldstDue, gateLDST
+	}
+	return now, gateOpen
 }
 
-// tryIssue issues the warp's next instruction if possible.
-func (sm *smState) tryIssue(sid int, w *warpCtx, now int64) (issued, ldstBlocked bool) {
-	ok, blocked := sm.canIssue(sid, w, now)
-	if !ok {
-		return false, blocked
-	}
+// issue issues warp w's current instruction, which gate has passed.
+func (sm *smState) issue(sid int, w *warpCtx, now int64) {
 	in := w.cur
 	sm.stats.Instructions++
 	if sm.tr != nil {
@@ -552,18 +577,21 @@ func (sm *smState) tryIssue(sid int, w *warpCtx, now int64) (issued, ldstBlocked
 		sm.issueStore(w, in, now)
 	}
 	w.advance()
-	return true, false
 }
 
 // issueLoad processes a wmma.load macro-op. Following §II-B, the macro-op
 // expands into 16 row-vector loads (one 16-element row of the tile each);
 // each row load consults the Duplo detection unit individually (row IDs are
-// what the LHB tracks), and only the rows that miss generate line requests.
+// what the LHB tracks; AccessTile resolves the 16 in row order), and only
+// the rows that miss generate line requests.
 func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 	sm.stats.TensorLoads += tileRows
 	load := tcLoad{addr: in.Addr, pitch: in.RowPitch}
-	var ids [tileRows]duplo.ID
-	var trackedRows uint32 // bit r: row r has an LHB entry (ids[r])
+	var res [tileRows]duplo.AccessResult // all AccessBypass without Duplo
+	if sm.du != nil {
+		load.seq = sm.du.AccessTile(w.slot, int(in.Dst), in.Addr, in.RowPitch, &res)
+	}
+	var trackedRows uint32 // bit r: row r has an LHB entry (res[r].ID)
 	var complete int64
 	anyMem := false
 	sm.lineBuf = sm.lineBuf[:0]
@@ -571,55 +599,39 @@ func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 
 	for r := 0; r < tileRows; r++ {
 		rowAddr := in.Addr + uint64(r)*uint64(in.RowPitch)
-		hit := false
-		if sm.du != nil {
-			res, seq := sm.du.Access(w.slot, int(in.Dst), rowAddr, 0)
-			if r == 0 {
-				load.seq = seq
-			}
-			if res.Kind != duplo.AccessBypass {
-				ids[r] = res.ID
-				trackedRows |= 1 << r
-			}
-			if res.Kind == duplo.AccessHit {
-				// Row eliminated: rename after the detection latency; the
-				// consumer waits for the original load's data via the
-				// scoreboard (entry meta carries its ready cycle).
-				hit = true
-				sm.stats.LoadsEliminated++
-				t := now + int64(sm.du.Latency())
-				if res.Meta > t {
-					t = res.Meta
-				}
-				if t > complete {
-					complete = t
-				}
-				// Parallel L1 lookup happens anyway (energy), then cancels.
-				sm.stats.L1Accesses++
-				sm.stats.ServiceLines[ServiceLHB]++
-				if sm.tr != nil {
-					sm.tr.Emit(sm.id, trace.Event{
-						Cycle: now, Kind: trace.KindLHBHit, Addr: rowAddr,
-						Sched: -1, Warp: int16(w.slot),
-					})
-				}
-			}
+		if res[r].Kind != duplo.AccessBypass {
+			trackedRows |= 1 << r
 		}
-		if !hit {
-			anyMem = true
-			// Collect this row's line(s), deduplicated across miss rows.
-			// Row addresses are monotone (RowPitch > 0) and each row's
-			// lines are contiguous, so collected lines are monotone too: a
-			// candidate can only duplicate the tail of what is already
-			// collected, never land in a gap below it.
-			first := rowAddr &^ (lb - 1)
-			last := (rowAddr + uint64(in.RowBytes) - 1) &^ (lb - 1)
-			for line := first; line <= last; line += lb {
-				if n := len(sm.lineBuf); n > 0 && line <= sm.lineBuf[n-1] {
-					continue
-				}
-				sm.lineBuf = append(sm.lineBuf, line)
+		if res[r].Kind == duplo.AccessHit {
+			// Row eliminated: rename after the detection latency; the
+			// consumer waits for the original load's data via the
+			// scoreboard (entry meta carries its ready cycle).
+			sm.stats.LoadsEliminated++
+			complete = max(complete, now+int64(sm.du.Latency()), res[r].Meta)
+			// Parallel L1 lookup happens anyway (energy), then cancels.
+			sm.stats.L1Accesses++
+			sm.stats.ServiceLines[ServiceLHB]++
+			if sm.tr != nil {
+				sm.tr.Emit(sm.id, trace.Event{
+					Cycle: now, Kind: trace.KindLHBHit, Addr: rowAddr,
+					Sched: -1, Warp: int16(w.slot),
+				})
 			}
+			continue
+		}
+		anyMem = true
+		// Collect this row's line(s), deduplicated across miss rows. Row
+		// addresses are monotone (RowPitch > 0) and each row's lines are
+		// contiguous, so collected lines are monotone too: a candidate can
+		// only duplicate the tail of what is already collected, never land
+		// in a gap below it.
+		first := rowAddr &^ (lb - 1)
+		last := (rowAddr + uint64(in.RowBytes) - 1) &^ (lb - 1)
+		for line := first; line <= last; line += lb {
+			if n := len(sm.lineBuf); n > 0 && line <= sm.lineBuf[n-1] {
+				continue
+			}
+			sm.lineBuf = append(sm.lineBuf, line)
 		}
 	}
 
@@ -660,7 +672,7 @@ func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 		// hits wait for the data (meta update after the miss resolved).
 		for r := 0; r < tileRows; r++ {
 			if trackedRows&(1<<r) != 0 {
-				sm.du.SetMeta(ids[r], complete)
+				sm.du.SetMeta(res[r].ID, complete)
 			}
 		}
 	}
@@ -722,87 +734,35 @@ func (sm *smState) busy() bool { return sm.resident > 0 }
 // farFuture is the sentinel wake cycle for "no pending event".
 const farFuture = int64(1) << 62
 
-// nextWake returns a conservative lower bound (> now, or farFuture when the
-// SM has nothing pending) on the next cycle at which this SM's tick could
-// do anything a fully-stalled tick would not: issue an instruction, retire
-// a ROB entry, release an LHB entry, or drain an LDST queue slot. The SM
-// sleeps until then (gpuState.runLoops). Only the SM's own ticks change
-// these events — other SMs reach it through memSystem and the CTA
-// dispatcher, which it touches only when it ticks — so the bound holds
-// however the rest of the chip runs. runLoops calls it only after a
-// tick(now) in which this SM issued nothing, so every active warp is gated
-// on one of the events below; the wake set is
+// nextWake returns the next cycle (> now, or farFuture when the SM has
+// nothing pending) at which this SM's tick could do anything a
+// fully-stalled tick would not: issue an instruction, retire a ROB entry,
+// release an LHB entry, or drain an LDST queue slot. The SM sleeps until
+// then (gpuState.runLoops). Only the SM's own ticks change these events —
+// other SMs reach it through memSystem and the CTA dispatcher, which it
+// touches only when it ticks — so the cycle holds however the rest of the
+// chip runs. runLoops calls it only after a tick(now) in which this SM
+// issued nothing, so every scheduler's pass failed or was skipped and each
+// recorded its wake; the wake set is
 //
-//   - ldstDue, the earliest ldstBusy drain (opens LDST queue
-//     back-pressure),
+//   - ldstDue, the earliest ldstBusy drain,
 //   - the head lhbRelease.at (LHB entry releases run at exact cycles),
-//   - the L1 tag port's free cycle,
 //   - retireDue, the earliest head ROB entry's complete cycle over the
 //     active warps (in-order retire, so a head always pops first),
-//   - per active warp: the gate of its current instruction — the blocking
-//     regReady cycles, or the processing-block free cycle once an MMA's
-//     operands are all ready.
+//   - each scheduler's schedWake, the earliest gate over its warps.
 //
-// Any stale event (<= now) clamps to now+1 — the clock may refuse to skip,
-// but can never be sent backwards or past a wake (the deadlock guard,
-// asserted by TestNextWakeNeverInPast).
+// The L1 tag port's free cycle is not in it: no tick acts then, the port
+// only delays a later load's line requests. Any stale event (<= now)
+// clamps to now+1 — the clock may refuse to skip, but can never be sent
+// backwards or past a wake (the deadlock guard, asserted by
+// TestNextWakeNeverInPast).
 func (sm *smState) nextWake(now int64) int64 {
-	wake := farFuture
-	add := func(t int64) {
-		if t <= now {
-			t = now + 1
-		}
-		if t < wake {
-			wake = t
-		}
-	}
-	add(sm.ldstDue) // farFuture when nothing is due: a no-op
-	add(sm.retireDue)
+	wake := min(sm.ldstDue, sm.retireDue)
 	if len(sm.lhbRelease) > 0 {
-		add(sm.lhbRelease[0].at) // FIFO with monotone times: head is earliest
+		wake = min(wake, sm.lhbRelease[0].at) // FIFO with monotone times: head is earliest
 	}
-	if sm.l1Port > now {
-		add(sm.l1Port)
+	for _, t := range sm.schedWake {
+		wake = min(wake, t)
 	}
-	for wi, word := range sm.liveMask {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			s := wi<<6 + b
-			w := &sm.warps[s]
-			if w.pc >= w.prog.Len() {
-				continue
-			}
-			w.decode()
-			in := &w.cur
-			switch in.Op {
-			case OpLoadA, OpLoadB, OpStoreD:
-				reg := in.Dst
-				if in.Op == OpStoreD {
-					reg = in.SrcA
-				}
-				if t := w.regReady[reg]; t > now {
-					add(t)
-				} else if len(sm.ldstBusy) == 0 {
-					// A ready memory op can only be gated by a full LDST
-					// queue; an empty queue here is inconsistent — wake
-					// immediately instead of risking a missed event.
-					add(now + 1)
-				}
-			case OpMMA:
-				gated := false
-				for _, rg := range [...]uint8{in.SrcA, in.SrcB, in.Dst} {
-					if t := w.regReady[rg]; t > now {
-						add(t)
-						gated = true
-					}
-				}
-				if !gated {
-					// Operands ready: the gate is the processing block.
-					add(sm.pbFree[s%sm.cfg.Schedulers])
-				}
-			}
-		}
-	}
-	return wake
+	return max(wake, now+1)
 }

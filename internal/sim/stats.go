@@ -39,8 +39,8 @@ type Stats struct {
 
 	// Instruction counts (warp-level).
 	Instructions    int64
-	TensorLoads     int64 // wmma.load.a/b issued
-	LoadsEliminated int64 // tensor-core-loads removed by Duplo renaming
+	TensorLoads     int64 // row-vector loads issued: 16 per wmma.load.a/b
+	LoadsEliminated int64 // row-vector loads Duplo renaming removed (LHB hits)
 	MMAs            int64
 	Stores          int64
 
