@@ -1,9 +1,10 @@
 // Package flat provides Table, the open-addressed uint64-keyed hash table
-// behind the simulator's hot lookups: the L1 MSHR file (internal/sim) and
-// the oracle LHB's tag store (internal/core). Each is a map from a 64-bit
-// key to one small integer that the cycle loop consults on every memory
-// access; a flat slot array probes in place where a Go map hashes through
-// its runtime.
+// behind the simulator's lookups by address: the oracle LHB's tag store
+// (internal/core), which the cycle loop consults on every row load, and
+// the L1 MSHR table (internal/sim), which holds only the lines the L1
+// evicted before their fill landed and is asked on L1 misses. Each maps a
+// 64-bit key to one small integer; a flat slot array probes in place where
+// a Go map hashes through its runtime.
 package flat
 
 import "math/bits"
@@ -97,6 +98,15 @@ func (t *Table) DeleteFunc(del func(k uint64, v int64) bool) {
 			continue
 		}
 		i++
+	}
+}
+
+// Range calls f on every entry, in slot order.
+func (t *Table) Range(f func(k uint64, v int64)) {
+	for _, s := range t.slots {
+		if s.used {
+			f(s.key, s.val)
+		}
 	}
 }
 

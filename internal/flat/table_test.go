@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// check requires t to hold exactly the entries of want.
+// check requires t to hold exactly the entries of want, by Get and by
+// Range.
 func check(tb testing.TB, step int, t *Table, want map[uint64]int64) {
 	tb.Helper()
 	if t.Len() != len(want) {
@@ -15,6 +16,16 @@ func check(tb testing.TB, step int, t *Table, want map[uint64]int64) {
 		if got, ok := t.Get(k); !ok || got != v {
 			tb.Fatalf("step %d: Get(%#x) = %d, %v; want %d, true", step, k, got, ok, v)
 		}
+	}
+	seen := 0
+	t.Range(func(k uint64, v int64) {
+		if w, ok := want[k]; !ok || v != w {
+			tb.Fatalf("step %d: Range yielded %#x -> %d; want %d (present %v)", step, k, v, w, ok)
+		}
+		seen++
+	})
+	if seen != len(want) {
+		tb.Fatalf("step %d: Range yielded %d entries, want %d", step, seen, len(want))
 	}
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/bits"
 )
 
@@ -12,16 +11,19 @@ type cacheArray struct {
 	sets      int
 	ways      int
 	lineShift uint
-	lines     []cacheWay // sets*ways, set-major
-	clock     int64
+	// lines holds sets*ways ways, set-major. Each set keeps its valid ways
+	// in a prefix of valid[set] ways, most recently used first: no line is
+	// ever invalidated on its own, so the prefix only grows, and the least
+	// recently used line is always the set's last.
+	lines []cacheWay
+	valid []int
 }
 
-// cacheWay is one way of a set: the line address it holds and the clock of
-// its last access, 0 when the way is invalid. No line is ever invalidated
-// on its own, so the valid ways of a set are a prefix of it.
+// cacheWay is one way of a set: the line address it holds and, in the L1,
+// the cycle its pending fill lands (the L2 leaves it 0).
 type cacheWay struct {
-	tag uint64
-	lru int64
+	tag  uint64
+	fill int64
 }
 
 // newCacheArray builds an array for capacityBytes with the given geometry.
@@ -45,6 +47,7 @@ func newCacheArray(capacityBytes, lineBytes, ways int) *cacheArray {
 		ways:      ways,
 		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
 		lines:     make([]cacheWay, sets*ways),
+		valid:     make([]int, sets),
 	}
 }
 
@@ -52,36 +55,76 @@ func (c *cacheArray) set(lineAddr uint64) int {
 	return int((lineAddr >> c.lineShift) & uint64(c.sets-1))
 }
 
-// Access looks lineAddr up in one walk of its set: a hit refreshes the
-// way's LRU stamp, and a miss fills the line into the set's first invalid
-// way or else evicts the least recently used one. It reports the hit.
-func (c *cacheArray) Access(lineAddr uint64) bool {
-	c.clock++
-	s := c.set(lineAddr) * c.ways
-	set := c.lines[s : s+c.ways]
-	victim, oldest := 0, int64(math.MaxInt64)
-	for i := range set {
-		w := &set[i]
-		if w.lru == 0 {
-			victim = i // the valid prefix ends here: a miss
-			break
-		}
+// find walks lineAddr's set once. It returns the set and the index in
+// lines of the line's way, or -1 when the line is not resident.
+func (c *cacheArray) find(lineAddr uint64) (set, i int) {
+	set = c.set(lineAddr)
+	base := set * c.ways
+	for j, w := range c.lines[base : base+c.valid[set]] {
 		if w.tag == lineAddr {
-			w.lru = c.clock
-			return true
-		}
-		if w.lru < oldest {
-			victim, oldest = i, w.lru
+			return set, base + j
 		}
 	}
-	set[victim] = cacheWay{tag: lineAddr, lru: c.clock}
+	return set, -1
+}
+
+// touch makes lines[i], a way of set, the set's most recently used line.
+func (c *cacheArray) touch(set, i int) {
+	base := set * c.ways
+	if i == base {
+		return
+	}
+	w := c.lines[i]
+	copy(c.lines[base+1:i+1], c.lines[base:i])
+	c.lines[base] = w
+}
+
+// insert fills w into set as its most recently used line. A full set drops
+// its least recently used line, which insert returns with evicted set.
+func (c *cacheArray) insert(set int, w cacheWay) (victim cacheWay, evicted bool) {
+	ways := c.lines[set*c.ways : (set+1)*c.ways]
+	n := c.valid[set]
+	if n == c.ways {
+		n--
+		victim, evicted = ways[n], true
+	} else {
+		c.valid[set]++
+	}
+	copy(ways[1:n+1], ways[:n])
+	ways[0] = w
+	return victim, evicted
+}
+
+// pending counts the resident lines whose fill lands after cycle now.
+func (c *cacheArray) pending(now int64) int {
+	n := 0
+	for set, valid := range c.valid {
+		for _, w := range c.lines[set*c.ways : set*c.ways+valid] {
+			if w.fill > now {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Access looks lineAddr up in one walk of its set: a hit makes the line the
+// most recently used, and a miss fills it, evicting the least recently
+// used line of a full set. It reports the hit.
+func (c *cacheArray) Access(lineAddr uint64) bool {
+	set, i := c.find(lineAddr)
+	if i >= 0 {
+		c.touch(set, i)
+		return true
+	}
+	c.insert(set, cacheWay{tag: lineAddr})
 	return false
 }
 
 // memSystem is the shared part of the hierarchy: the L2 slice and the
 // DRAM bandwidth model behind it. Per-SM L1s live in smState.
 //
-// Ordering contract: every access mutates shared state (L2 LRU recency,
+// Ordering contract: every access mutates shared state (L2 recency order,
 // dramFree, and the dramFrac fractional accumulator — floating-point, so not
 // even reorderable), which makes results depend on the exact arrival order
 // of requests. The cycle loop calls in ascending (cycle, smID, issue index)

@@ -152,8 +152,10 @@ func TestEventClockSkips(t *testing.T) {
 
 // TestDueCyclesMatchScan ticks one SM of a quick cell (ResNet/C2, 12 CTAs,
 // the 2-SM slice's memory system) cycle by cycle, Duplo off and on. After
-// every tick it requires retireDue and ldstDue to equal a full scan of the
-// live warps' ROB heads and of ldstBusy, and each scheduler that is asleep
+// every tick it requires robHeads to hold exactly one entry per live warp
+// with a non-empty ROB, keyed by its head's completion and in heap order,
+// retireDue and ldstDue to equal a full scan of the live warps' ROB heads
+// and of ldstBusy, and each scheduler that is asleep
 // (schedWake > now) to have the wake and LDST-blocked flag a full scan of
 // its warps' gates gives. A scheduler the tick skipped must also hold no
 // warp that could issue, by an issue test written apart from gate
@@ -187,6 +189,7 @@ func TestDueCyclesMatchScan(t *testing.T) {
 		g.dispatchTo(sm)
 		now, skipped := int64(0), 0
 		asleep := make([]bool, cfg.Schedulers)
+		heads := make([]int64, len(sm.warps)) // per slot: ROB head completion, -1 if none
 		for ; sm.busy(); now++ {
 			if now > 1<<24 {
 				t.Fatalf("duplo=%v: still busy at cycle %d", on, now)
@@ -195,18 +198,36 @@ func TestDueCyclesMatchScan(t *testing.T) {
 				asleep[sid] = now < wake
 			}
 			sm.tick(now)
-			retire, ldst := farFuture, farFuture
+			retire, ldst, live := farFuture, farFuture, 0
 			for s := range sm.warps {
+				heads[s] = -1
 				if w := &sm.warps[s]; w.active && !w.robEmpty() {
-					retire = min(retire, w.rob[w.robHead].complete)
+					heads[s] = w.rob[w.robHead].complete
+					retire = min(retire, heads[s])
+					live++
 				}
+			}
+			for i, e := range sm.robHeads {
+				if heads[e.slot] != e.complete {
+					t.Fatalf("duplo=%v, cycle %d: robHeads holds (%d, slot %d), but that warp's ROB head completes at %d (-1: none, or already listed)",
+						on, now, e.complete, e.slot, heads[e.slot])
+				}
+				heads[e.slot] = -1 // a second entry for the slot fails above
+				if p := sm.robHeads[(i-1)/2]; i > 0 && p.complete > e.complete {
+					t.Fatalf("duplo=%v, cycle %d: robHeads[%d] completes at %d, after its child %d at %d",
+						on, now, (i-1)/2, p.complete, i, e.complete)
+				}
+			}
+			if len(sm.robHeads) != live {
+				t.Fatalf("duplo=%v, cycle %d: robHeads has %d entries for %d live warps with a non-empty ROB",
+					on, now, len(sm.robHeads), live)
 			}
 			for _, c := range sm.ldstBusy {
 				ldst = min(ldst, c)
 			}
-			if sm.retireDue != retire || sm.ldstDue != ldst {
+			if sm.retireDue() != retire || sm.ldstDue != ldst {
 				t.Fatalf("duplo=%v, cycle %d: retireDue %d, ldstDue %d; a full scan gives %d, %d",
-					on, now, sm.retireDue, sm.ldstDue, retire, ldst)
+					on, now, sm.retireDue(), sm.ldstDue, retire, ldst)
 			}
 			for sid := range sm.schedWake {
 				if sm.schedWake[sid] <= now {
@@ -240,6 +261,42 @@ func TestDueCyclesMatchScan(t *testing.T) {
 		if g.nextCTA != g.totalCTAs || (on && sm.stats.LoadsEliminated == 0) || skipped == 0 {
 			t.Fatalf("duplo=%v: ran %d of %d CTAs in %d cycles, %d loads eliminated, %d scheduler passes skipped",
 				on, g.nextCTA, g.totalCTAs, now, sm.stats.LoadsEliminated, skipped)
+		}
+	}
+}
+
+// TestRetireRunsDueWarpsInSlotOrder: warps due in one tick retire in
+// ascending slot order, the order a scan of the live warps visits them,
+// whatever order their ROB heads complete in — here the reverse, which is
+// the order the retire heap pops them. Slot order fixes the order of the
+// LHB release FIFO.
+func TestRetireRunsDueWarpsInSlotOrder(t *testing.T) {
+	k, err := NewConvKernel("retire-order", testLayer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	var stats Stats
+	sm := newSM(cfg, 0, newMemSystem(cfg, &stats), &gpuState{cfg: cfg})
+	sm.placeCTA(k, 0, 1)
+	var slots []int
+	for s := range sm.warps {
+		if w := &sm.warps[s]; w.active {
+			// Higher slots complete earlier; seq names the slot.
+			sm.robPush(w, robEntry{complete: 100 - int64(s), tracked: true, tcLoad: tcLoad{seq: uint64(s)}})
+			slots = append(slots, s)
+		}
+	}
+	if len(slots) < 2 {
+		t.Fatalf("placed %d warps, want at least 2", len(slots))
+	}
+	sm.retire(100)
+	if len(sm.lhbRelease) != len(slots) {
+		t.Fatalf("%d releases for %d retired tracked loads", len(sm.lhbRelease), len(slots))
+	}
+	for i, e := range sm.lhbRelease {
+		if e.seq != uint64(slots[i]) {
+			t.Fatalf("release %d is slot %d's; want slot %d's (ascending slot order %v)", i, e.seq, slots[i], slots)
 		}
 	}
 }
@@ -315,7 +372,7 @@ func TestNextWakeNeverInPast(t *testing.T) {
 	check("stale regReady")
 
 	// Stale queue, ROB and LHB-release events, all before now, pushed
-	// through the helpers that maintain ldstDue and retireDue.
+	// through the helpers that maintain ldstDue and robHeads.
 	sm.ldstPush(now - 10)
 	check("stale ldstBusy")
 	for s := range sm.warps {

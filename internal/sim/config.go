@@ -9,11 +9,13 @@
 //   - tensor-core pipelines executing warp-granular 16x16x16 MMA steps;
 //   - an LDST unit that splits warp-level wmma.load/store instructions into
 //     whole 128-byte line requests, with L1 port serialization;
-//   - per-SM L1 caches whose MSHR table merges misses to one line and has
-//     no capacity limit (only the LDST queue bounds the misses in flight),
-//     a shared L2 slice whose hits cost a fixed L2LatencyCycles with no
-//     bandwidth term, and a bandwidth-limited DRAM behind it. Fills are
-//     whole lines: SectorBytes is validated but not modeled;
+//   - per-SM L1 caches that merge misses to one line and have no MSHR
+//     capacity limit (only the LDST queue bounds the misses in flight): a
+//     line's pending fill rides in its L1 way, and an MSHR table keeps
+//     only the lines evicted before their fill landed. Behind them, a
+//     shared L2 slice whose hits cost a fixed L2LatencyCycles with no
+//     bandwidth term, and a bandwidth-limited DRAM. Fills are whole lines:
+//     SectorBytes is validated but not modeled;
 //   - the Duplo detection unit (internal/core) attached to the LDST unit,
 //     looked up in parallel with L1 (§IV of the paper).
 //
@@ -24,6 +26,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	duplo "duplo/internal/core"
@@ -181,6 +184,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: line %dB / sector %dB invalid", c.LineBytes, c.SectorBytes)
 	case c.L1KB <= 0 || c.L2KB <= 0:
 		return fmt.Errorf("sim: cache sizes must be positive")
+	case c.L2Ways <= 0:
+		return fmt.Errorf("sim: L2Ways %d must be positive", c.L2Ways)
+	case c.cacheLines(c.L1KB) > maxCacheLines || c.cacheLines(c.L2KB) > maxCacheLines:
+		return fmt.Errorf("sim: L1 %d KB / L2 %d KB in %dB lines exceed %d lines per cache",
+			c.L1KB, c.L2KB, c.LineBytes, maxCacheLines)
 	case c.DRAMBandwidth <= 0:
 		return fmt.Errorf("sim: DRAM bandwidth must be positive")
 	case c.LDSTQueueDepth <= 0:
@@ -195,6 +203,21 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: WallTimeout %v must be >= 0 (0 = none)", c.WallTimeout)
 	}
 	return nil
+}
+
+// maxCacheLines bounds the lines of each cache a valid Config describes,
+// so that building its tag arrays can neither overflow nor exhaust memory:
+// 128 MB of 128-byte lines, 7x the largest cache any experiment builds
+// (§V-D's 4x L2 at full scale, 147,456 lines).
+const maxCacheLines = 1 << 20
+
+// cacheLines is the line count of a kb-kilobyte cache (LineBytes > 0),
+// saturating where kb<<10 would overflow.
+func (c Config) cacheLines(kb int) int {
+	if kb > math.MaxInt>>10 {
+		return math.MaxInt
+	}
+	return kb << 10 / c.LineBytes
 }
 
 // DefaultWatchdogWindow is the floor of the resolved forward-progress

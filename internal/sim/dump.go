@@ -95,7 +95,7 @@ func formatCrashDump(b *strings.Builder, g *gpuState, se *SimError) {
 	for _, sm := range g.sms {
 		fmt.Fprintf(b, "\nSM %d: resident=%d wake=%s l1Port=%d ldst=%s mshr=%d lhbRelease=%s\n",
 			sm.id, sm.resident, dumpCycle(sm.wake), sm.l1Port, dumpQueue(sm.ldstBusy, sm.cfg.LDSTQueueDepth),
-			sm.mshr.Len(), dumpReleases(sm.lhbRelease))
+			sm.missesInFlight(se.Cycle), dumpReleases(sm.lhbRelease[sm.lhbHead:]))
 		fmt.Fprintf(b, "  stats: %s\n", sm.stats.DumpSummary())
 		shown, active := 0, 0
 		for s := range sm.warps {

@@ -235,10 +235,12 @@ func TestWarpProgramLazyConcurrentFirstUse(t *testing.T) {
 
 // TestHotPathAllocs: once a kernel's warp programs are built, placing a
 // CTA, decoding an instruction (warpProgram.At, then relocateInstr),
-// splitting a tile access into cache lines (lineSpan), a cache access, a
-// Duplo row access plus its retire, and a whole tile's (AccessTile,
-// RetireTile) allocate nothing. AllocsPerRun's
-// warm-up call absorbs the program build and the oracle's first growth.
+// splitting a tile access into cache lines (lineSpan), a cache access, an
+// L1 line request (accessLine, with the MSHR sweep tick runs), retiring
+// ROB entries, a Duplo row access plus its retire, and a whole tile's
+// (AccessTile, RetireTile) allocate nothing. AllocsPerRun's warm-up call
+// absorbs the program build and the first growth of the oracle and the
+// MSHR table.
 func TestHotPathAllocs(t *testing.T) {
 	k, err := NewConvKernel("allocs", testLayer)
 	if err != nil {
@@ -280,6 +282,41 @@ func TestHotPathAllocs(t *testing.T) {
 	check("cacheArray.Access", func() {
 		for line := uint64(0); line < 4096; line++ {
 			sm.l1.Access(line * 128)
+		}
+	})
+	// Four passes over 4 L1s' worth of lines, each line requested twice in
+	// a row, one request per cycle, with DRAM fills slower than that:
+	// misses, merges into resident and evicted lines' fills, and evictions
+	// of lines still in flight.
+	var now int64
+	check("accessLine", func() {
+		now += 1 << 20 // every earlier fill has landed
+		sm.sweepMSHR(now)
+		for pass := 0; pass < 4; pass++ {
+			for line := uint64(0); line < 4096; line++ {
+				sm.accessLine(line*128, now)
+				sm.accessLine(line*128, now+1)
+				now += 2
+			}
+		}
+	})
+	if sm.stats.MSHRMerges == 0 || sm.mshr.Len() == 0 {
+		t.Fatalf("accessLine: %d merges, %d lines evicted in flight; the check needs both", sm.stats.MSHRMerges, sm.mshr.Len())
+	}
+	sm.placeCTA(k, 0, 1)
+	check("robPush+retire", func() {
+		for round := int64(0); round < 4; round++ {
+			now++
+			for s := range sm.warps {
+				if w := &sm.warps[s]; w.active {
+					sm.robPush(w, robEntry{complete: now + int64(s%3)})
+					sm.robPush(w, robEntry{complete: now + 3})
+				}
+			}
+			for t := now; t <= now+3; t++ {
+				sm.retire(t)
+			}
+			now += 3
 		}
 	})
 	load := w.prog.At(0) // an A-tile load inside the workspace

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -374,6 +375,73 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("bad sector size should fail")
 	}
+	// An L2 of no ways divided by zero, and one of negative ways failed
+	// makeslice, inside sim.Run before its panic barrier.
+	for _, ways := range []int{0, -1} {
+		bad = good
+		bad.L2Ways = ways
+		if err := bad.Validate(); err == nil {
+			t.Errorf("L2Ways=%d should fail", ways)
+		}
+	}
+	// Caches whose byte size overflows, or whose tag arrays would not fit
+	// in memory.
+	for _, kb := range []int{math.MaxInt >> 2, 1 << 40, maxCacheLines/8 + 1} {
+		bad = good
+		bad.L1KB = kb
+		if err := bad.Validate(); err == nil {
+			t.Errorf("L1KB=%d should fail", kb)
+		}
+		bad = good
+		bad.L2KB = kb
+		if err := bad.Validate(); err == nil {
+			t.Errorf("L2KB=%d should fail", kb)
+		}
+	}
+	big := good
+	big.L1KB, big.L2KB = maxCacheLines/8, maxCacheLines/8 // exactly maxCacheLines 128-byte lines
+	if err := big.Validate(); err != nil {
+		t.Errorf("caches of maxCacheLines lines should pass: %v", err)
+	}
+}
+
+// TestL1EvictedPendingMissMerges fills one L1 set with misses in flight,
+// evicts the least recently used of them with one more miss, and reads
+// the evicted line twice: before its fill the read merges into the miss in
+// flight (an MSHR merge, no L2 access), and from its fill on it misses. A
+// line still resident with its fill pending merges too.
+func TestL1EvictedPendingMissMerges(t *testing.T) {
+	cfg := testConfig()
+	var mem Stats
+	sm := newSM(cfg, 0, newMemSystem(cfg, &mem), &gpuState{cfg: cfg})
+	stride := uint64(sm.l1.sets * cfg.LineBytes) // lines this far apart share a set
+	ways := int64(sm.l1.ways)
+	fills := make([]int64, ways+1)
+	for i := range fills {
+		var src ServiceLevel
+		if fills[i], src = sm.accessLine(uint64(i)*stride, int64(i)); src == ServiceL1 {
+			t.Fatalf("line %d: cold read served by %v", i, src)
+		}
+	}
+	if fills[0] <= ways+2 {
+		t.Fatalf("first fill at cycle %d: the test needs it after cycle %d", fills[0], ways+2)
+	}
+	read := func(name string, i, at int64, merge bool) {
+		t.Helper()
+		merges, l2 := sm.stats.MSHRMerges, mem.L2Accesses
+		ready, src := sm.accessLine(uint64(i)*stride, at)
+		if merge && (ready != fills[i] || src != ServiceL1 || sm.stats.MSHRMerges != merges+1 || mem.L2Accesses != l2) {
+			t.Fatalf("%s: ready %d from %v, %d merges, %d L2 accesses; want the miss in flight (ready %d from L1$), %d merges, %d L2 accesses",
+				name, ready, src, sm.stats.MSHRMerges, mem.L2Accesses, fills[i], merges+1, l2)
+		}
+		if !merge && (src == ServiceL1 || sm.stats.MSHRMerges != merges || mem.L2Accesses != l2+1) {
+			t.Fatalf("%s: ready %d from %v, %d merges, %d L2 accesses; want a miss, %d merges, %d L2 accesses",
+				name, ready, src, sm.stats.MSHRMerges, mem.L2Accesses, merges, l2+1)
+		}
+	}
+	read("evicted line before its fill", 0, ways+1, true)
+	read("resident line before its fill", 1, ways+2, true)
+	read("evicted line at its fill", 0, fills[0], false)
 }
 
 func TestDRAMBytesPerCycle(t *testing.T) {
@@ -405,6 +473,30 @@ func TestServiceLevelStrings(t *testing.T) {
 	for i, w := range names {
 		if ServiceLevel(i).String() != w {
 			t.Errorf("level %d = %q", i, ServiceLevel(i).String())
+		}
+	}
+}
+
+// TestMissesInFlight: the crash dump's MSHR count is the line misses whose
+// fills land after the dump cycle, whether the line is still in L1 or was
+// evicted before its fill.
+func TestMissesInFlight(t *testing.T) {
+	cfg := testConfig()
+	var mem Stats
+	sm := newSM(cfg, 0, newMemSystem(cfg, &mem), &gpuState{cfg: cfg})
+	stride := uint64(sm.l1.sets * cfg.LineBytes)
+	var last int64
+	for i := 0; i <= sm.l1.ways; i++ { // one more miss than the set holds
+		fill, _ := sm.accessLine(uint64(i)*stride, int64(i))
+		last = max(last, fill)
+	}
+	first, _ := sm.accessLine(0, int64(sm.l1.ways+1)) // evicted, still in flight
+	for _, c := range []struct {
+		at   int64
+		want int
+	}{{int64(sm.l1.ways + 1), sm.l1.ways + 1}, {first, sm.l1.ways}, {last, 0}} {
+		if got := sm.missesInFlight(c.at); got != c.want {
+			t.Errorf("at cycle %d: %d misses in flight, want %d", c.at, got, c.want)
 		}
 	}
 }

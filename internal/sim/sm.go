@@ -77,14 +77,16 @@ func (w *warpCtx) finished() bool {
 // tensor-core processing blocks, the LDST unit with its L1, and (optionally)
 // the Duplo detection unit.
 type smState struct {
-	cfg  Config
-	id   int
-	mem  *memSystem
-	gpu  *gpuState
-	du   *duplo.DetectionUnit
-	tr   trace.Tracer // nil unless Config.Tracer is set
-	l1   *cacheArray
-	mshr flat.Table // lineAddr -> fill cycle
+	cfg Config
+	id  int
+	mem *memSystem
+	gpu *gpuState
+	du  *duplo.DetectionUnit
+	tr  trace.Tracer // nil unless Config.Tracer is set
+	l1  *cacheArray  // each way carries its line's pending fill cycle
+	// mshr holds the misses in flight whose lines the L1 evicted before
+	// their fill landed: lineAddr -> fill cycle.
+	mshr flat.Table
 	// mshrSweepAt is the MSHR table size that triggers the next sweep of
 	// dead entries (see mshrSweepMin).
 	mshrSweepAt int
@@ -114,20 +116,24 @@ type smState struct {
 	schedWake    []int64
 	schedBlocked []bool
 
-	// The cycles at which tick's scans next have work (farFuture: none):
-	// retireDue is the earliest head-ROB completion over the live warps,
-	// and ldstDue the earliest ldstBusy completion. Only retire pops a ROB
-	// entry and only drainLDST drops a queue slot, and each recomputes its
-	// cycle as it scans; robPush and ldstPush lower them. nextWake reads
-	// both instead of scanning again.
-	retireDue int64
-	ldstDue   int64
+	// robHeads is a min-heap of the live warps' ROB heads by completion
+	// cycle, one entry per warp whose ROB is non-empty: robPush adds a
+	// warp's entry when its ROB was empty, and retire pops the due ones
+	// and pushes each warp's new head. Its top is retireDue. dueSlots is
+	// retire's scratch bitset of the popped slots (liveMask's layout).
+	robHeads robHeap
+	dueSlots []uint64
+	// ldstDue is the earliest ldstBusy completion (farFuture: none). Only
+	// drainLDST drops a queue slot, and it recomputes ldstDue as it scans;
+	// ldstPush lowers it. nextWake reads it instead of scanning again.
+	ldstDue int64
 
-	// lhbRelease is a FIFO of pending LHB entry releases: a retired load's
-	// entries are released RetireDelay cycles after the instruction pops
-	// from the ROB (the modeled register lifetime; release times are
-	// monotone because pops are).
+	// lhbRelease[lhbHead:] is a FIFO of pending LHB entry releases: a
+	// retired load's entries are released RetireDelay cycles after the
+	// instruction pops from the ROB (the modeled register lifetime;
+	// release times are monotone because pops are).
 	lhbRelease []lhbReleaseEvt
+	lhbHead    int
 
 	ctaWarpsLeft map[int]int // resident CTA -> unfinished warps
 	resident     int
@@ -144,6 +150,9 @@ type smState struct {
 	lineBuf []uint64
 }
 
+// l1Ways is the L1's associativity.
+const l1Ways = 8
+
 func newSM(cfg Config, id int, mem *memSystem, gpu *gpuState) *smState {
 	sm := &smState{
 		cfg:          cfg,
@@ -151,7 +160,7 @@ func newSM(cfg Config, id int, mem *memSystem, gpu *gpuState) *smState {
 		mem:          mem,
 		gpu:          gpu,
 		tr:           cfg.Tracer,
-		l1:           newCacheArray(cfg.L1KB<<10, cfg.LineBytes, 8),
+		l1:           newCacheArray(cfg.L1KB<<10, cfg.LineBytes, l1Ways),
 		pbFree:       make([]int64, cfg.Schedulers),
 		warps:        make([]warpCtx, cfg.MaxWarpsPerSM),
 		greedy:       make([]int, cfg.Schedulers),
@@ -160,10 +169,10 @@ func newSM(cfg Config, id int, mem *memSystem, gpu *gpuState) *smState {
 		ctaWarpsLeft: make(map[int]int),
 		lineBuf:      make([]uint64, 0, 64),
 		mshrSweepAt:  mshrSweepMin,
-		retireDue:    farFuture,
 		ldstDue:      farFuture,
 	}
 	sm.liveMask = make([]uint64, (len(sm.warps)+63)/64)
+	sm.dueSlots = make([]uint64, len(sm.liveMask))
 	sm.schedLive = make([][]uint64, cfg.Schedulers)
 	perSched := (len(sm.warps) + cfg.Schedulers - 1) / cfg.Schedulers
 	for i := range sm.schedLive {
@@ -258,7 +267,7 @@ func (sm *smState) placeCTA(k *Kernel, cta int, launchSeq int64) {
 // settle charges to every cycle the SM then skips.
 func (sm *smState) tick(now int64) (issued int) {
 	sm.releaseLHB(now)
-	if sm.retireDue <= now {
+	if sm.retireDue() <= now {
 		sm.retire(now)
 	}
 	if sm.ldstDue <= now {
@@ -317,17 +326,26 @@ func (sm *smState) settle(now int64) {
 	}
 }
 
-// retire pops completed instructions in program order per warp and
-// recomputes retireDue over what is left. Retired tensor-core-loads
-// schedule their LHB entry releases RetireDelay cycles later: with the
-// warp-register renaming of [15], a destination register group stays valid
-// well past instruction completion, until the rename pool reclaims it;
-// RetireDelay is the calibrated model of that reuse window (§V-C governs
-// the hit-rate ceiling through it).
+// retire pops completed instructions in program order per warp.
+// Retired tensor-core-loads schedule their LHB entry releases RetireDelay
+// cycles later: with the warp-register renaming of [15], a destination
+// register group stays valid well past instruction completion, until the
+// rename pool reclaims it; RetireDelay is the calibrated model of that
+// reuse window (§V-C governs the hit-rate ceiling through it).
+//
+// Only the warps whose ROB head is due run, popped from robHeads, and they
+// run in ascending slot order, whatever order the heap pops them in: a
+// full scan of the live warps would find nothing to do in any other, and
+// its slot order fixes the order of lhbRelease appends and which of two
+// CTAs finishing in one tick backfills first.
 func (sm *smState) retire(now int64) {
 	delay := int64(sm.cfg.RetireDelay)
-	due := farFuture
-	for wi, word := range sm.liveMask {
+	for sm.retireDue() <= now {
+		s := sm.robHeads.pop().slot
+		sm.dueSlots[s>>6] |= 1 << uint(s&63)
+	}
+	for wi, word := range sm.dueSlots {
+		sm.dueSlots[wi] = 0
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
@@ -335,20 +353,80 @@ func (sm *smState) retire(now int64) {
 			w := &sm.warps[s]
 			sm.retireWarp(w, s, now, delay)
 			if !w.robEmpty() {
-				due = min(due, w.rob[w.robHead].complete)
+				sm.robHeads.push(robHead{complete: w.rob[w.robHead].complete, slot: s})
 			}
 		}
 	}
-	sm.retireDue = due
 }
 
-// robPush appends e to warp w's ROB, lowering retireDue when e becomes the
-// head.
+// retireDue is the earliest head-ROB completion over the live warps
+// (farFuture: none), the cycle at which retire next has work.
+func (sm *smState) retireDue() int64 {
+	if len(sm.robHeads) == 0 {
+		return farFuture
+	}
+	return sm.robHeads[0].complete
+}
+
+// robPush appends e to warp w's ROB, entering w in robHeads when e becomes
+// the head.
 func (sm *smState) robPush(w *warpCtx, e robEntry) {
 	if w.robEmpty() {
-		sm.retireDue = min(sm.retireDue, e.complete)
+		sm.robHeads.push(robHead{complete: e.complete, slot: w.slot})
 	}
 	w.rob = append(w.rob, e)
+}
+
+// robHead is a robHeads entry: warp slot's ROB head completes at complete.
+type robHead struct {
+	complete int64
+	slot     int
+}
+
+// robHeap is a binary min-heap of robHead by completion cycle. Equal
+// cycles pop in any order; retire sorts what it pops by slot.
+type robHeap []robHead
+
+func (h *robHeap) push(e robHead) {
+	a := append(*h, e)
+	i := len(a) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if a[p].complete <= e.complete {
+			break
+		}
+		a[i] = a[p]
+		i = p
+	}
+	a[i] = e
+	*h = a
+}
+
+func (h *robHeap) pop() robHead {
+	a := *h
+	top, n := a[0], len(a)-1
+	last := a[n]
+	a = a[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && a[c+1].complete < a[c].complete {
+			c++
+		}
+		if last.complete <= a[c].complete {
+			break
+		}
+		a[i] = a[c]
+		i = c
+	}
+	if n > 0 {
+		a[i] = last
+	}
+	*h = a
+	return top
 }
 
 // retireWarp pops warp s's completed ROB entries and releases its slot once
@@ -387,7 +465,7 @@ func (sm *smState) retireWarp(w *warpCtx, s int, now, delay int64) {
 
 // releaseLHB applies due entry releases (FIFO; times are monotone).
 func (sm *smState) releaseLHB(now int64) {
-	i := 0
+	i := sm.lhbHead
 	for i < len(sm.lhbRelease) && sm.lhbRelease[i].at <= now {
 		e := &sm.lhbRelease[i]
 		sm.du.RetireTile(e.addr, e.pitch, e.seq)
@@ -399,11 +477,13 @@ func (sm *smState) releaseLHB(now int64) {
 		}
 		i++
 	}
-	if i > 0 {
-		// Compact in place so the slice reuses its backing array instead of
-		// marching through memory one re-slice at a time.
+	sm.lhbHead = i
+	if i > len(sm.lhbRelease)/2 {
+		// Compact in place once the head passes half the slice, so the
+		// slice reuses its backing array instead of marching through
+		// memory, and each pending entry is copied O(1) times on average.
 		n := copy(sm.lhbRelease, sm.lhbRelease[i:])
-		sm.lhbRelease = sm.lhbRelease[:n]
+		sm.lhbRelease, sm.lhbHead = sm.lhbRelease[:n], 0
 	}
 }
 
@@ -428,15 +508,15 @@ func (sm *smState) ldstPush(t int64) {
 }
 
 // mshrSweepMin is the smallest MSHR table size that triggers a sweep of
-// dead entries. An entry whose fill has passed is dead — accessLine treats
-// it as absent — but it leaves the table only when its line is touched
-// again, so without a sweep the table would accrete one entry per distinct
-// line ever missed over a multi-million-cycle run. Live entries are
-// bounded by the misses in flight (at most LDSTQueueDepth loads' worth of
-// lines), which can exceed this size, so the next sweep waits until the
-// table is twice what the last one left: a table full of live misses is not
-// swept on every tick, and the table stays within a small multiple of the
-// misses in flight, which keeps accessLine's probes in cache.
+// dead entries. The table holds only the lines the L1 evicted before their
+// fill landed (a resident line's pending fill rides in its L1 way). An
+// entry whose fill has passed is dead — accessLine treats it as absent —
+// but it leaves the table only when its line is requested again, so
+// without a sweep the table would keep one entry per such eviction over a
+// multi-million-cycle run. Live entries are bounded by the misses in
+// flight (at most LDSTQueueDepth loads' worth of lines), which can exceed
+// this size, so the next sweep waits until the table is twice what the
+// last one left: a table full of live misses is not swept on every tick.
 const mshrSweepMin = 256
 
 // sweepMSHR drops the MSHR entries whose fills are in the past. It is
@@ -679,32 +759,62 @@ func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 }
 
 // accessLine performs one read line access at cycle t (post port
-// arbitration) and returns (data-ready cycle, serving level).
+// arbitration) and returns (data-ready cycle, serving level). It walks the
+// line's L1 set once: a resident line whose fill is still pending merges
+// into that miss without touching recency, any other resident line hits,
+// and only an L1 miss asks the MSHR table for a miss in flight to an
+// evicted line before going to the L2. The L1 port serializes requests, so
+// t never decreases: a fill that has landed stays landed, which is why a
+// miss moves only a victim with a pending fill into the table.
 func (sm *smState) accessLine(line uint64, t int64) (int64, ServiceLevel) {
 	sm.stats.L1Accesses++
 	l1Lat := int64(sm.cfg.L1LatencyCycles)
-	if fill, pending := sm.mshr.Get(line); pending {
-		if fill > t {
-			// Merge into the outstanding miss.
-			sm.stats.MSHRMerges++
-			sm.stats.L1Hits++ // serviced without new traffic
-			if sm.tr != nil {
-				sm.tr.Emit(sm.id, trace.Event{
-					Cycle: t, Kind: trace.KindMSHRMerge, Addr: line,
-					Sched: -1, Warp: -1,
-				})
-			}
-			return fill, ServiceL1
+	set, i := sm.l1.find(line)
+	if i >= 0 {
+		if fill := sm.l1.lines[i].fill; fill > t {
+			return sm.merge(line, fill, t), ServiceL1
 		}
-		sm.mshr.Delete(line)
-	}
-	if sm.l1.Access(line) {
+		sm.l1.touch(set, i)
 		sm.stats.L1Hits++
 		return t + l1Lat, ServiceL1
 	}
+	if fill, pending := sm.mshr.Get(line); pending {
+		if fill > t {
+			return sm.merge(line, fill, t), ServiceL1
+		}
+		sm.mshr.Delete(line)
+	}
 	fill, src := sm.mem.readLine(line, t+l1Lat)
-	sm.mshr.Set(line, fill)
+	if victim, evicted := sm.l1.insert(set, cacheWay{tag: line, fill: fill}); evicted && victim.fill > t {
+		sm.mshr.Set(victim.tag, victim.fill)
+	}
 	return fill, src
+}
+
+// merge folds a line request at cycle t into the miss in flight that fills
+// line at cycle fill, and returns fill.
+func (sm *smState) merge(line uint64, fill, t int64) int64 {
+	sm.stats.MSHRMerges++
+	sm.stats.L1Hits++ // serviced without new traffic
+	if sm.tr != nil {
+		sm.tr.Emit(sm.id, trace.Event{
+			Cycle: t, Kind: trace.KindMSHRMerge, Addr: line,
+			Sched: -1, Warp: -1,
+		})
+	}
+	return fill
+}
+
+// missesInFlight counts the line misses whose fills land after cycle now:
+// the L1 ways still waiting on their fill plus the live MSHR entries.
+func (sm *smState) missesInFlight(now int64) int {
+	n := sm.l1.pending(now)
+	sm.mshr.Range(func(_ uint64, fill int64) {
+		if fill > now {
+			n++
+		}
+	})
+	return n
 }
 
 // issueStore processes a wmma.store.d: write-through line transactions.
@@ -757,9 +867,9 @@ const farFuture = int64(1) << 62
 // backwards or past a wake (the deadlock guard, asserted by
 // TestNextWakeNeverInPast).
 func (sm *smState) nextWake(now int64) int64 {
-	wake := min(sm.ldstDue, sm.retireDue)
-	if len(sm.lhbRelease) > 0 {
-		wake = min(wake, sm.lhbRelease[0].at) // FIFO with monotone times: head is earliest
+	wake := min(sm.ldstDue, sm.retireDue())
+	if sm.lhbHead < len(sm.lhbRelease) {
+		wake = min(wake, sm.lhbRelease[sm.lhbHead].at) // FIFO with monotone times: head is earliest
 	}
 	for _, t := range sm.schedWake {
 		wake = min(wake, t)
