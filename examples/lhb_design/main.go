@@ -65,7 +65,7 @@ func main() {
 		}
 		area := "-"
 		if !d.lhb.Oracle {
-			area = report.PctU(energy.AreaOverhead(em, d.lhb.Entries))
+			area = report.PctU(energy.AreaOverhead(d.lhb.Entries))
 		}
 		t.AddRowCells([]string{
 			d.name,

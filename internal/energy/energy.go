@@ -11,7 +11,7 @@ package energy
 
 import "duplo/internal/sim"
 
-// Model holds per-event energies in picojoules and SRAM area parameters.
+// Model holds per-event energies in picojoules.
 type Model struct {
 	// Per-event energies (pJ).
 	RegAccessPJ float64 // one 32-bit register-file access per thread
@@ -25,27 +25,21 @@ type Model struct {
 	// from the "on-chip" total like the paper's §V-H accounting; reported
 	// separately).
 	FEDPOpPJ float64 // one four-element dot product step
-
-	// Area parameters.
-	SRAMBytesPerMM2 float64 // SRAM density (bytes per mm^2)
-	RegFileKBPerSM  int
 }
 
-// Default12nm returns the default energy/area model.
+// Default12nm returns the default energy model.
 // Magnitudes follow the usual CACTI-class scaling: small SRAM probes are
 // ~1-2pJ, big cache line accesses tens of pJ, DRAM line transfers ~1-2nJ.
 func Default12nm() Model {
 	return Model{
-		RegAccessPJ:     1.2,
-		LHBLookupPJ:     1.5,
-		IDGenPJ:         0.6,
-		L1AccessPJ:      60,
-		L1TagPJ:         6,
-		L2AccessPJ:      240,
-		DRAMLinePJ:      2000,
-		FEDPOpPJ:        2.0,
-		SRAMBytesPerMM2: 2.2e6, // ~2.2 MB/mm^2 high-density SRAM at 12nm
-		RegFileKBPerSM:  256,
+		RegAccessPJ: 1.2,
+		LHBLookupPJ: 1.5,
+		IDGenPJ:     0.6,
+		L1AccessPJ:  60,
+		L1TagPJ:     6,
+		L2AccessPJ:  240,
+		DRAMLinePJ:  2000,
+		FEDPOpPJ:    2.0,
 	}
 }
 
@@ -114,10 +108,11 @@ func LHBBits(entries int) (perEntry, total int64) {
 }
 
 // AreaOverhead returns the LHB area as a fraction of the per-SM register
-// file area — the §V-H 0.77% figure's counterpart (one LHB per SM).
-func AreaOverhead(m Model, entries int) float64 {
+// file area (sim.RegFileKB) — the §V-H 0.77% figure's counterpart (one LHB
+// per SM).
+func AreaOverhead(entries int) float64 {
 	_, bits := LHBBits(entries)
 	lhbBytes := float64(bits) / 8
-	rfBytes := float64(m.RegFileKBPerSM) * 1024
+	rfBytes := float64(sim.RegFileKB) * 1024
 	return lhbBytes / rfBytes
 }

@@ -61,8 +61,7 @@ func TestLHBBitsAndArea(t *testing.T) {
 	if total != 1024*61 {
 		t.Fatalf("total bits %d", total)
 	}
-	m := Default12nm()
-	ovh := AreaOverhead(m, 1024)
+	ovh := AreaOverhead(1024)
 	// ~7.6KB SRAM vs 256KB register file: ~3%. The paper reports 0.77%
 	// (their entry stores only 22 tag bits and their register file area is
 	// denser than pure SRAM); same order of magnitude.
@@ -70,7 +69,7 @@ func TestLHBBitsAndArea(t *testing.T) {
 		t.Fatalf("area overhead %v out of regime", ovh)
 	}
 	// Bigger buffers cost proportionally more.
-	if AreaOverhead(m, 2048) <= ovh {
+	if AreaOverhead(2048) <= ovh {
 		t.Fatal("area must grow with entries")
 	}
 }

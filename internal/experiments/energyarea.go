@@ -5,6 +5,7 @@ import (
 
 	"duplo/internal/energy"
 	"duplo/internal/report"
+	"duplo/internal/sim"
 	"duplo/internal/workload"
 )
 
@@ -39,6 +40,6 @@ func (r *Runner) EnergyArea() (*report.Table, error) {
 	perEntry, totalBits := energy.LHBBits(1024)
 	t.AddRowCells([]string{"", "", "", "", ""})
 	t.AddRowCells([]string{fmt.Sprintf("LHB: %d bits/entry, %d KB total", perEntry, totalBits/8/1024), "",
-		fmt.Sprintf("area overhead vs 256KB RF: %s", report.PctU(energy.AreaOverhead(m, 1024))), "", ""})
+		fmt.Sprintf("area overhead vs %dKB RF: %s", sim.RegFileKB, report.PctU(energy.AreaOverhead(1024))), "", ""})
 	return t, err
 }

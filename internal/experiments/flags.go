@@ -14,9 +14,9 @@ import (
 // -calibration, -cpuprofile, -memprofile, -max-cycles and -crash-dir),
 // each defaulting to its DefaultOptions value. After fs.Parse, the
 // returned resolve rejects a negative -ctas, -workers or -max-cycles and
-// an -sms outside 1..sim.TitanVConfig().NumSMs, parses -predict, opens the -store directory and starts the
-// -cpuprofile/-memprofile profiles; its stop ends the profiles and writes
-// the heap profile. The caller sets the Options fields its own flags and
+// an -sms outside 1..sim.NumSMs, parses -predict, opens the -store
+// directory and starts the -cpuprofile/-memprofile profiles; its stop
+// ends the profiles and writes the heap profile. The caller sets the Options fields its own flags and
 // context decide.
 func RunFlags(fs *flag.FlagSet) (resolve func() (opts Options, stop func() error, err error)) {
 	o := DefaultOptions()
@@ -37,8 +37,8 @@ func RunFlags(fs *flag.FlagSet) (resolve func() (opts Options, stop func() error
 		switch {
 		case o.MaxCTAs < 0:
 			return Options{}, nil, fmt.Errorf("-ctas %d: must be >= 0 (0 = full grid)", o.MaxCTAs)
-		case o.SimSMs < 1 || o.SimSMs > sim.TitanVConfig().NumSMs:
-			return Options{}, nil, fmt.Errorf("-sms %d: must be in 1..%d", o.SimSMs, sim.TitanVConfig().NumSMs)
+		case o.SimSMs < 1 || o.SimSMs > sim.NumSMs:
+			return Options{}, nil, fmt.Errorf("-sms %d: must be in 1..%d", o.SimSMs, sim.NumSMs)
 		case o.Workers < 0:
 			return Options{}, nil, fmt.Errorf("-workers %d: must be >= 0 (0 = GOMAXPROCS)", o.Workers)
 		case o.MaxCycles < 0:

@@ -244,7 +244,7 @@ func (r *Runner) FigCalibrate() (*report.Table, error) {
 // inEnvelope reports whether a config lies inside the calibrated envelope:
 // identical to the runner's base config on every axis that can change a
 // result (resultConfig) and that the calibration sweep does not vary (SM
-// count, CTA cap, cache sizes, latencies, ...), with the Duplo axis
+// count, CTA cap, cache sizes, run bounds, ...), with the Duplo axis
 // restricted to what the fit observed — any entry count, direct-mapped,
 // hash-indexed, default detection latency, oracle allowed. Everything
 // else (associativity sweeps, modulo indexing, never-evict, scaled

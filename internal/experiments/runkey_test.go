@@ -82,7 +82,7 @@ func TestRunKeyFields(t *testing.T) {
 	k0, cfg0 := fresh()
 	key0 := newRunKey(k0, cfg0)
 	enc0 := key0.encode()
-	cleared := map[string]bool{"Config.Tracer": true, "Config.CrashDumpDir": true, "Config.WatchdogWindow": true}
+	cleared := map[string]bool{"Config.Tracer": true, "Config.CrashDumpDir": true}
 	seen := map[string]bool{}
 
 	check := func(path string, k *sim.Kernel, cfg sim.Config) {

@@ -203,8 +203,8 @@ func faultWrap(f SimFaultInjector, next func(context.Context, sim.Config, *sim.K
 func (r *Runner) Workers() int { return r.workers }
 
 // Execs returns how many simulations actually ran (misses in both cache
-// tiers); memory hits, disk-store hits and coalesced concurrent requests
-// do not count.
+// tiers, and traced runs); memory hits, disk-store hits and coalesced
+// concurrent requests do not count.
 func (r *Runner) Execs() int64 { return r.execs.Load() }
 
 // StoreHits returns how many runs were served from the disk tier instead
@@ -289,14 +289,12 @@ func newRunKey(k *sim.Kernel, cfg sim.Config) runKey {
 
 // resultConfig clears the config fields that cannot change a successful
 // result: the tracer is observational (TestTracingDoesNotPerturb), and the
-// crash-dump directory and watchdog window only shape how a failed run
-// fails (TestHardenedRunByteIdentical). MaxCycles, WallTimeout and
-// DenseClock stay: a bounded request must not be served an unbounded
-// run's result, and a cross-clock comparison must really simulate twice.
+// crash-dump directory only shapes how a failed run fails. MaxCycles and
+// WallTimeout stay: a bounded request must not be served an unbounded
+// run's result.
 func resultConfig(cfg sim.Config) sim.Config {
 	cfg.Tracer = nil
 	cfg.CrashDumpDir = ""
-	cfg.WatchdogWindow = 0
 	return cfg
 }
 
@@ -347,9 +345,21 @@ func (r *Runner) RunCtx(ctx context.Context, k *sim.Kernel, cfg sim.Config) (sim
 // (successful entries are never evicted, and the entry is written before
 // its done channel closes), so duploserved keeps it in every finished
 // job instead of a private copy of the Result.
+//
+// A traced request (cfg.Tracer set) always simulates: its collector must
+// observe an actual execution, so it neither joins nor fills the memo and
+// bypasses the store, whose record would be a redundant write of a
+// byte-identical result (the tracing contract).
 func (r *Runner) RunShared(ctx context.Context, k *sim.Kernel, cfg sim.Config) (*sim.Result, error) {
 	if ctx == nil {
 		ctx = r.ctx
+	}
+	if cfg.Tracer != nil {
+		res, err := r.simulate(ctx, k, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &res, nil
 	}
 	key := newRunKey(k, cfg)
 	e, inFlight := join(&r.mu, r.cache, key)
@@ -367,14 +377,10 @@ func (r *Runner) RunShared(ctx context.Context, k *sim.Kernel, cfg sim.Config) (
 		e, inFlight = join(&r.mu, r.cache, key)
 	}
 
-	// Disk tier. Traced runs bypass it in both directions: a collector
-	// must observe an actual execution, and its result (byte-identical by
-	// the tracing contract) would be a redundant write. The lookup happens
-	// before a pool slot is taken — a store hit never occupies simulation
-	// capacity.
-	persist := r.store != nil && cfg.Tracer == nil
+	// Disk tier. The lookup happens before a pool slot is taken — a store
+	// hit never occupies simulation capacity.
 	var storeKey string
-	if persist {
+	if r.store != nil {
 		storeKey = key.encode()
 		if rec, ok := r.store.Get(storeKey); ok {
 			r.storeHits.Add(1)
@@ -384,17 +390,14 @@ func (r *Runner) RunShared(ctx context.Context, k *sim.Kernel, cfg sim.Config) (
 		}
 	}
 
-	r.sem <- struct{}{}
-	r.execs.Add(1)
-	e.res, e.err = r.simFn(ctx, cfg, k)
-	<-r.sem
+	e.res, e.err = r.simulate(ctx, k, cfg)
 	if e.err != nil {
 		// Evict before closing done: once waiters wake, the failed key
 		// must already be gone. Nothing is persisted, so the disk tier
 		// inherits the same semantics: a failed run can never be served
 		// from the store.
 		evict(&r.mu, r.cache, key, e)
-	} else if persist {
+	} else if r.store != nil {
 		// Best-effort: a full disk must not fail the sweep. The error is
 		// surfaced on the progress sink and in the store's PutErrors
 		// counter (statsz).
@@ -404,6 +407,14 @@ func (r *Runner) RunShared(ctx context.Context, k *sim.Kernel, cfg sim.Config) (
 	}
 	close(e.done)
 	return e.result()
+}
+
+// simulate runs k under cfg on a pool slot.
+func (r *Runner) simulate(ctx context.Context, k *sim.Kernel, cfg sim.Config) (sim.Result, error) {
+	r.sem <- struct{}{}
+	defer func() { <-r.sem }()
+	r.execs.Add(1)
+	return r.simFn(ctx, cfg, k)
 }
 
 // fanOutAll runs n independent tasks on the worker pool and returns one

@@ -157,6 +157,33 @@ func TestStoreTierBypassedWhenTracing(t *testing.T) {
 	}
 }
 
+// TestTracedRunExecutes: a traced request for a cell the memo already
+// holds still simulates, so its collector records the run it is handed.
+func TestTracedRunExecutes(t *testing.T) {
+	opts := QuickOptions()
+	r := NewRunner(opts)
+	k, err := sim.NewConvKernel("traced", hammerLayer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := opts.config()
+	if _, err := r.Run(k, cfg); err != nil {
+		t.Fatal(err)
+	}
+	col := trace.NewCollector(cfg.TraceMeta(0))
+	cfg.Tracer = col
+	res, err := r.Run(k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := col.Totals().Instructions; got != res.Instructions || got == 0 {
+		t.Errorf("collector recorded %d instructions, the result has %d", got, res.Instructions)
+	}
+	if got := r.Execs(); got != 2 {
+		t.Errorf("executed %d simulations, want 2 (the traced one too)", got)
+	}
+}
+
 // TestRunSharedReturnsMemoEntry pins RunShared's contract: every call for
 // a memoized key returns the same *sim.Result, whether the entry was
 // simulated or read from the store; a failed run returns nil and the

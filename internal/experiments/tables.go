@@ -95,16 +95,16 @@ func Table2() (*report.Table, error) {
 func Table3() *report.Table {
 	cfg := sim.TitanVConfig()
 	t := report.NewTable("Table III: Configuration of Baseline GPU Model", "Parameter", "Value")
-	t.AddRow("# of SMs", cfg.NumSMs)
+	t.AddRow("# of SMs", sim.NumSMs)
 	t.AddRow("Clock frequency", fmt.Sprintf("%dMHz", cfg.ClockMHz))
-	t.AddRow("Max # of CTAs/SM", cfg.MaxCTAsPerSM)
-	t.AddRow("Max # of warps/SM", cfg.MaxWarpsPerSM)
-	t.AddRow("Warp schedulers/SM", cfg.Schedulers)
+	t.AddRow("Max # of CTAs/SM", sim.MaxCTAsPerSM)
+	t.AddRow("Max # of warps/SM", sim.MaxWarpsPerSM)
+	t.AddRow("Warp schedulers/SM", sim.Schedulers)
 	t.AddRow("Warp scheduling policy", "Greedy-then-oldest (GTO)")
-	t.AddRow("Tensor cores/SM", cfg.TensorCores)
-	t.AddRow("Register file/SM", fmt.Sprintf("%dKB", cfg.RegFileKB))
+	t.AddRow("Tensor cores/SM", sim.TensorCores)
+	t.AddRow("Register file/SM", fmt.Sprintf("%dKB", sim.RegFileKB))
 	t.AddRow("Unified L1 cache/SM", fmt.Sprintf("%dKB", cfg.L1KB))
-	t.AddRow("L2 cache", fmt.Sprintf("%.1fMB, %d ways, %d cycles", float64(cfg.L2KB)/1024, cfg.L2Ways, cfg.L2LatencyCycles))
-	t.AddRow("DRAM bandwidth", fmt.Sprintf("%.1fGB/s", cfg.DRAMBandwidth))
+	t.AddRow("L2 cache", fmt.Sprintf("%.1fMB, %d ways, %d cycles", float64(cfg.L2KB)/1024, sim.L2Ways, sim.L2LatencyCycles))
+	t.AddRow("DRAM bandwidth", fmt.Sprintf("%.1fGB/s", sim.DRAMBandwidth))
 	return t
 }

@@ -145,12 +145,12 @@ func Features(k *sim.Kernel, cfg sim.Config) []float64 {
 	instrs := float64(w.Instructions())
 
 	// Roofline terms, each in cycles (up to a constant the fit absorbs).
-	tIssue := instrs / (sms * float64(cfg.Schedulers))
+	tIssue := instrs / (sms * sim.Schedulers)
 	// A 16x16 half tile load splits into 16 row segments of 32B; the L1
 	// port serializes line requests.
 	tL1 := loads * 16 / sms
 	tDRAM := compulsoryBytes(k, w) / (cfg.DRAMBytesPerCycle() * cfg.SliceScale())
-	tMMA := float64(w.MMAs) * float64(cfg.MMAInitiation) / (sms * float64(cfg.TensorCores) / 2)
+	tMMA := float64(w.MMAs) * sim.MMAInitiation / (sms * sim.TensorCores / 2)
 	tMax := math.Max(math.Max(tIssue, tL1), math.Max(tDRAM, tMMA))
 
 	// Duplo redundancy terms: zero when the detection unit is off or the A
@@ -168,7 +168,7 @@ func Features(k *sim.Kernel, cfg sim.Config) []float64 {
 	}
 
 	waves := 0.0
-	if per := k.CTAsPerSM(cfg); per > 0 && cfg.SimSMs > 0 {
+	if per := k.CTAsPerSM(); per > 0 && cfg.SimSMs > 0 {
 		waves = math.Ceil(float64(w.CTAs) / float64(cfg.SimSMs*per))
 	}
 
@@ -483,7 +483,7 @@ func (c *Calibration) PredictResult(k *sim.Kernel, cfg sim.Config) (sim.Result, 
 	}
 	nAtU := func(name string) uint64 { return uint64(nAt(name)) }
 	s.Cycles = max(at("cycles"), 1)
-	s.IssueStallCycles = min(at("issue_stall"), s.Cycles*int64(cfg.Schedulers)*int64(cfg.SimSMs))
+	s.IssueStallCycles = min(at("issue_stall"), s.Cycles*sim.Schedulers*int64(cfg.SimSMs))
 	s.LDSTStallCycles = at("ldst_stall")
 	if cfg.Duplo {
 		// Lookups are structural, not regressed: every A row load of a

@@ -73,7 +73,7 @@ func benchClock(b *testing.B, dense, withDuplo bool) {
 		b.Fatal(err)
 	}
 	cfg := memBoundConfig()
-	cfg.DenseClock = dense
+	cfg.denseClock = dense
 	if withDuplo {
 		cfg.Duplo = true
 		cfg.DetectCfg.LHB = duplo.DefaultLHBConfig()
@@ -164,7 +164,7 @@ func BenchmarkLineSpan(b *testing.B) {
 	buf := make([]uint64, 0, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = lineSpan(buf[:0], in, 128)
+		buf = lineSpan(buf[:0], in)
 	}
 	_ = buf
 }

@@ -130,8 +130,7 @@ func (c *cacheArray) Access(lineAddr uint64) bool {
 // of requests. The cycle loop calls in ascending (cycle, smID, issue index)
 // order; that order is part of the result.
 type memSystem struct {
-	cfg Config
-	l2  *cacheArray
+	l2 *cacheArray
 	// dramFree is the cycle the DRAM channel next accepts a transfer
 	// (bandwidth serialization over the simulated slice).
 	dramFree          int64
@@ -145,9 +144,8 @@ func newMemSystem(cfg Config, stats *Stats) *memSystem {
 	l2Bytes := int(float64(cfg.L2KB<<10) * cfg.SliceScale())
 	bpc := cfg.DRAMBytesPerCycle() * cfg.SliceScale()
 	return &memSystem{
-		cfg:               cfg,
-		l2:                newCacheArray(l2Bytes, cfg.LineBytes, cfg.L2Ways),
-		dramCyclesPerLine: float64(cfg.LineBytes) / bpc,
+		l2:                newCacheArray(l2Bytes, lineBytes, L2Ways),
+		dramCyclesPerLine: lineBytes / bpc,
 		stats:             stats,
 	}
 }
@@ -158,32 +156,29 @@ func (m *memSystem) readLine(lineAddr uint64, t int64) (int64, ServiceLevel) {
 	m.stats.L2Accesses++
 	if m.l2.Access(lineAddr) {
 		m.stats.L2Hits++
-		return t + int64(m.cfg.L2LatencyCycles), ServiceL2
+		return t + L2LatencyCycles, ServiceL2
 	}
 	// DRAM: bandwidth-serialized transfer after the access latency.
-	start := t + int64(m.cfg.L2LatencyCycles)
-	if m.dramFree > start {
-		start = m.dramFree
-	}
-	m.dramFrac += m.dramCyclesPerLine
-	whole := int64(m.dramFrac)
-	m.dramFrac -= float64(whole)
-	m.dramFree = start + whole
-	fill := start + int64(m.cfg.DRAMLatencyCycles) + whole
+	start, whole := m.transfer(t + L2LatencyCycles)
 	m.stats.DRAMLines++
-	return fill, ServiceDRAM
+	return start + dramLatencyCycles + whole, ServiceDRAM
 }
 
 // writeLine handles a write-through store line at cycle t: it consumes DRAM
 // bandwidth but completes immediately from the SM's perspective.
 func (m *memSystem) writeLine(t int64) {
-	start := t
-	if m.dramFree > start {
-		start = m.dramFree
-	}
+	m.transfer(t)
+	m.stats.StoreLines++
+}
+
+// transfer books one line on the DRAM channel no earlier than cycle t. It
+// returns the cycle the transfer starts and its whole cycles; the
+// fractional remainder carries into the next transfer.
+func (m *memSystem) transfer(t int64) (start, whole int64) {
+	start = max(t, m.dramFree)
 	m.dramFrac += m.dramCyclesPerLine
-	whole := int64(m.dramFrac)
+	whole = int64(m.dramFrac)
 	m.dramFrac -= float64(whole)
 	m.dramFree = start + whole
-	m.stats.StoreLines++
+	return start, whole
 }

@@ -12,16 +12,16 @@ import (
 // and dense clocks.
 func clockModes(cfg Config) (event, dense Config) {
 	event = cfg
-	event.DenseClock = false
+	event.denseClock = false
 	dense = cfg
-	dense.DenseClock = true
+	dense.denseClock = true
 	return event, dense
 }
 
 // diffRun simulates k under both clock modes and requires byte-identical
 // results: every Stats field (including the arithmetically accounted stall
 // counters) and the CTA counts. Kernel and Config are inputs, not outputs,
-// so they are excluded (Config necessarily differs in DenseClock). Both
+// so they are excluded (Config necessarily differs in denseClock). Both
 // results must also pass the accounting invariants, whose issue-slot
 // conservation checks the skip accounting without the dense oracle.
 func diffRun(t *testing.T, name string, cfg Config, k *Kernel) {
@@ -134,7 +134,7 @@ func TestEventClockSkips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schedCycles := res.Cycles * int64(cfg.SimSMs) * int64(cfg.Schedulers)
+	schedCycles := res.Cycles * int64(cfg.SimSMs) * Schedulers
 	if res.IssueStallCycles*2 < schedCycles {
 		t.Fatalf("expected a stall-dominated run (stalls %d of %d scheduler-cycles)",
 			res.IssueStallCycles, schedCycles)
@@ -175,10 +175,10 @@ func TestDueCyclesMatchScan(t *testing.T) {
 		cfg.SimSMs, cfg.MaxCTAs, cfg.Duplo = 2, 12, on
 		var stats Stats
 		g := &gpuState{cfg: cfg, kernel: k, mem: newMemSystem(cfg, &stats),
-			totalCTAs: min(k.TotalCTAs(), cfg.MaxCTAs), ctasPerSM: k.CTAsPerSM(cfg)}
+			totalCTAs: min(k.TotalCTAs(), cfg.MaxCTAs), ctasPerSM: k.CTAsPerSM()}
 		sm := newSM(cfg, 0, g.mem, g)
 		if on {
-			if sm.du, err = duplo.NewDetectionUnit(cfg.DetectCfg, cfg.MaxWarpsPerSM, 32); err != nil {
+			if sm.du, err = duplo.NewDetectionUnit(cfg.DetectCfg, MaxWarpsPerSM, 32); err != nil {
 				t.Fatal(err)
 			}
 			if err := sm.du.Program(*k.Conv, k.Layout); err != nil {
@@ -188,7 +188,7 @@ func TestDueCyclesMatchScan(t *testing.T) {
 		g.sms = []*smState{sm}
 		g.dispatchTo(sm)
 		now, skipped := int64(0), 0
-		asleep := make([]bool, cfg.Schedulers)
+		var asleep [Schedulers]bool
 		heads := make([]int64, len(sm.warps)) // per slot: ROB head completion, -1 if none
 		for ; sm.busy(); now++ {
 			if now > 1<<24 {
@@ -234,7 +234,7 @@ func TestDueCyclesMatchScan(t *testing.T) {
 					continue // sid issued this cycle: it runs again next cycle
 				}
 				wake, blocked := farFuture, false
-				for s := sid; s < len(sm.warps); s += cfg.Schedulers {
+				for s := sid; s < len(sm.warps); s += Schedulers {
 					w := &sm.warps[s]
 					if !w.active || w.pc >= w.prog.Len() {
 						continue
@@ -316,7 +316,7 @@ func issuableNow(sm *smState, sid int, w *warpCtx, now int64) (ok, queueHeld boo
 	if w.regReady[in.Dst] > now {
 		return false, false
 	}
-	full := len(sm.ldstBusy) >= sm.cfg.LDSTQueueDepth
+	full := len(sm.ldstBusy) >= ldstQueueDepth
 	return !full, full
 }
 

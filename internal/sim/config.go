@@ -14,8 +14,8 @@
 //     line's pending fill rides in its L1 way, and an MSHR table keeps
 //     only the lines evicted before their fill landed. Behind them, a
 //     shared L2 slice whose hits cost a fixed L2LatencyCycles with no
-//     bandwidth term, and a bandwidth-limited DRAM. Fills are whole lines:
-//     SectorBytes is validated but not modeled;
+//     bandwidth term, and a bandwidth-limited DRAM. Fills are whole
+//     lines: no sector fills are modeled;
 //   - the Duplo detection unit (internal/core) attached to the LDST unit,
 //     looked up in parallel with L1 (§IV of the paper).
 //
@@ -33,48 +33,51 @@ import (
 	"duplo/internal/trace"
 )
 
-// Config describes the simulated GPU. Defaults follow Table III (NVIDIA
-// Titan V-like).
-type Config struct {
-	// --- Table III parameters ---
+// The simulated machine: Table III's Titan V and the timing parameters
+// beside it. Every run simulates this one machine; a model change edits a
+// constant here.
+const (
+	NumSMs        = 80    // physical SM count the results are scaled to
+	MaxCTAsPerSM  = 32    // resident CTAs per SM
+	MaxWarpsPerSM = 64    // warp slots per SM
+	Schedulers    = 4     // warp schedulers per SM, GTO policy
+	TensorCores   = 8     // per SM (2 per processing block)
+	RegFileKB     = 256   // register file per SM
+	L2Ways        = 24    // 24 ways, 32 sets (per Table III / [11])
+	DRAMBandwidth = 652.8 // GB/s
 
-	NumSMs        int     // physical SM count the results are scaled to (80)
-	ClockMHz      int     // 1200 MHz
-	MaxCTAsPerSM  int     // 32
-	MaxWarpsPerSM int     // 64
-	Schedulers    int     // 4 warp schedulers per SM, GTO policy
-	TensorCores   int     // 8 per SM (2 per processing block)
-	RegFileKB     int     // 256 KB per SM
-	L1KB          int     // 128 KB unified L1 per SM
-	L2KB          int     // 4.5 MB shared
-	L2Ways        int     // 24 ways, 32 sets (per Table III / [11])
-	DRAMBandwidth float64 // GB/s (652.8)
-
-	// --- Timing parameters (from [11] and §V-D) ---
-
-	L1LatencyCycles   int // 28 (§V-D)
-	L2LatencyCycles   int // 120 (Table III)
-	DRAMLatencyCycles int // access latency before transfer
-	LineBytes         int // 128-byte lines; every request and fill is a whole line
-	SectorBytes       int // 32; validated, but no sector fills are modeled
+	l1LatencyCycles   = 28  // §V-D
+	L2LatencyCycles   = 120 // Table III
+	dramLatencyCycles = 220 // access latency before transfer
+	lineBytes         = 128 // every request and fill is a whole line
 
 	// MMA pipeline: a warp-level 16x16x16 MMA step occupies its processing
-	// block for InitiationInterval cycles and completes after Latency.
-	MMALatency    int
-	MMAInitiation int
-	// StoreLatency: cycles for a store to clear the LDST queue entry.
-	StoreLatency int
-	// RetireDelay models the register reuse window: the interval between a
+	// block for MMAInitiation cycles and completes after mmaLatency.
+	mmaLatency    = 16
+	MMAInitiation = 4
+	// storeLatency: cycles for a store to clear the LDST queue entry.
+	storeLatency = 4
+	// retireDelay models the register reuse window: the interval between a
 	// tensor-core-load retiring and its destination register group being
 	// reclaimed by the warp-register renaming pool of [15], at which point
 	// the LHB entry must be released (§IV-B/§V-C). It is a calibrated
 	// constant (see EXPERIMENTS.md): it sets the LHB hit-rate ceiling the
 	// same way the paper's retire-eviction does.
-	RetireDelay int
-
-	// LDSTQueueDepth is the number of outstanding memory instructions per
+	retireDelay = 8000
+	// ldstQueueDepth is the number of outstanding memory instructions per
 	// SM before issue back-pressure (LDST stalls, §V-B).
-	LDSTQueueDepth int
+	ldstQueueDepth = 24
+)
+
+// Config describes one run on the simulated GPU: the clock, the cache
+// sizes §V-D scales, the simulated slice, the run bounds and the Duplo
+// detection unit. TitanVConfig returns Table III's values.
+type Config struct {
+	// ClockMHz is Table III's 1200 MHz. It is a field, not a constant,
+	// only because perfbench reads it from Options.Config (ROADMAP item 10).
+	ClockMHz int
+	L1KB     int // 128 KB unified L1 per SM
+	L2KB     int // 4.5 MB shared
 
 	// --- Simulation scaling ---
 
@@ -90,15 +93,6 @@ type Config struct {
 	// DESIGN.md §3).
 	MaxCTAs int
 
-	// DenseClock ticks every SM, and runs every warp scheduler, on every
-	// cycle instead of the default per-SM clock, which ticks an SM (and
-	// runs a scheduler) only on cycles where it can act and accounts its
-	// skipped cycles arithmetically. Results are
-	// byte-identical either way (the differential tests in clock_test.go
-	// are the gate); the dense loop is their oracle and the baseline for
-	// the clocking benchmarks.
-	DenseClock bool
-
 	// --- Hardening: run bounds and diagnostics ---
 
 	// MaxCycles bounds the simulated clock: a run reaching this many cycles
@@ -109,16 +103,6 @@ type Config struct {
 	// deadline context from it, and the loop returns a *SimError
 	// (PhaseDeadline) when it expires. 0 = no bound; negative is invalid.
 	WallTimeout time.Duration
-	// WatchdogWindow is the forward-progress watchdog's window in cycles:
-	// when no instruction issues and no ROB entry retires for this many
-	// consecutive cycles, the run aborts with a livelock diagnosis and a
-	// crash dump instead of spinning forever. 0 selects the default —
-	// max(DefaultWatchdogWindow, 8*RetireDelay), far above any legitimate
-	// no-progress gap (the longest is the RetireDelay between a load
-	// retiring and its LHB release) — and negative disables the watchdog.
-	// Small explicit windows are for fault-injection tests only: a window
-	// under ~8*RetireDelay can fire on a healthy but memory-bound run.
-	WatchdogWindow int64
 	// CrashDumpDir is the directory watchdog/panic crash dumps are written
 	// to ("" = os.TempDir()); see dump.go for the format.
 	CrashDumpDir string
@@ -135,35 +119,33 @@ type Config struct {
 	// costs one pointer comparison per emit site (the default hot path
 	// does no tracing work).
 	Tracer trace.Tracer
+
+	// denseClock ticks every SM, and runs every warp scheduler, on every
+	// cycle instead of the default per-SM clock, which ticks an SM (and
+	// runs a scheduler) only on cycles where it can act and accounts its
+	// skipped cycles arithmetically. Results are byte-identical either way
+	// (the differential tests in clock_test.go are the gate); the dense
+	// loop is their oracle and the baseline for the clocking benchmarks,
+	// so only this package's tests set it.
+	denseClock bool
+	// watchdogWindow is the forward-progress watchdog's window in cycles:
+	// when no instruction issues and no ROB entry retires for this many
+	// consecutive cycles, the run aborts with a livelock diagnosis and a
+	// crash dump instead of spinning forever. 0 selects the default —
+	// max(DefaultWatchdogWindow, 8*retireDelay), far above any legitimate
+	// no-progress gap (the longest is the retireDelay between a load
+	// retiring and its LHB release) — and negative disables the watchdog.
+	// Only this package's fault-injection tests set it: a window under
+	// ~8*retireDelay can fire on a healthy but memory-bound run.
+	watchdogWindow int64
 }
 
 // TitanVConfig returns the baseline GPU model of Table III.
 func TitanVConfig() Config {
 	return Config{
-		NumSMs:        80,
-		ClockMHz:      1200,
-		MaxCTAsPerSM:  32,
-		MaxWarpsPerSM: 64,
-		Schedulers:    4,
-		TensorCores:   8,
-		RegFileKB:     256,
-		L1KB:          128,
-		L2KB:          4608, // 4.5 MB
-		L2Ways:        24,
-		DRAMBandwidth: 652.8,
-
-		L1LatencyCycles:   28,
-		L2LatencyCycles:   120,
-		DRAMLatencyCycles: 220,
-		LineBytes:         128,
-		SectorBytes:       32,
-
-		MMALatency:    16,
-		MMAInitiation: 4,
-		StoreLatency:  4,
-		RetireDelay:   8000,
-
-		LDSTQueueDepth: 24,
+		ClockMHz: 1200,
+		L1KB:     128,
+		L2KB:     4608, // 4.5 MB
 
 		SimSMs:  4,
 		MaxCTAs: 384,
@@ -176,27 +158,13 @@ func TitanVConfig() Config {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.SimSMs <= 0 || c.SimSMs > c.NumSMs:
-		return fmt.Errorf("sim: SimSMs %d out of range (1..%d)", c.SimSMs, c.NumSMs)
-	case c.Schedulers <= 0 || c.MaxWarpsPerSM%c.Schedulers != 0:
-		return fmt.Errorf("sim: %d schedulers must divide %d warps", c.Schedulers, c.MaxWarpsPerSM)
-	case c.LineBytes <= 0 || c.SectorBytes <= 0 || c.LineBytes%c.SectorBytes != 0:
-		return fmt.Errorf("sim: line %dB / sector %dB invalid", c.LineBytes, c.SectorBytes)
+	case c.SimSMs <= 0 || c.SimSMs > NumSMs:
+		return fmt.Errorf("sim: SimSMs %d out of range (1..%d)", c.SimSMs, NumSMs)
 	case c.L1KB <= 0 || c.L2KB <= 0:
 		return fmt.Errorf("sim: cache sizes must be positive")
-	case c.L2Ways <= 0:
-		return fmt.Errorf("sim: L2Ways %d must be positive", c.L2Ways)
-	case c.cacheLines(c.L1KB) > maxCacheLines || c.cacheLines(c.L2KB) > maxCacheLines:
+	case cacheLines(c.L1KB) > maxCacheLines || cacheLines(c.L2KB) > maxCacheLines:
 		return fmt.Errorf("sim: L1 %d KB / L2 %d KB in %dB lines exceed %d lines per cache",
-			c.L1KB, c.L2KB, c.LineBytes, maxCacheLines)
-	case c.DRAMBandwidth <= 0:
-		return fmt.Errorf("sim: DRAM bandwidth must be positive")
-	case c.LDSTQueueDepth <= 0:
-		return fmt.Errorf("sim: LDST queue depth must be positive")
-	case c.MaxWarpsPerSM <= 0:
-		return fmt.Errorf("sim: MaxWarpsPerSM must be positive")
-	case c.RetireDelay < 0:
-		return fmt.Errorf("sim: RetireDelay %d must be >= 0", c.RetireDelay)
+			c.L1KB, c.L2KB, lineBytes, maxCacheLines)
 	case c.MaxCycles < 0:
 		return fmt.Errorf("sim: MaxCycles %d must be >= 0 (0 = built-in bound)", c.MaxCycles)
 	case c.WallTimeout < 0:
@@ -211,30 +179,27 @@ func (c Config) Validate() error {
 // (§V-D's 4x L2 at full scale, 147,456 lines).
 const maxCacheLines = 1 << 20
 
-// cacheLines is the line count of a kb-kilobyte cache (LineBytes > 0),
-// saturating where kb<<10 would overflow.
-func (c Config) cacheLines(kb int) int {
+// cacheLines is the line count of a kb-kilobyte cache, saturating where
+// kb<<10 would overflow.
+func cacheLines(kb int) int {
 	if kb > math.MaxInt>>10 {
 		return math.MaxInt
 	}
-	return kb << 10 / c.LineBytes
+	return kb << 10 / lineBytes
 }
 
 // DefaultWatchdogWindow is the floor of the resolved forward-progress
-// window when Config.WatchdogWindow is 0 (~1M cycles: two orders of
-// magnitude above the longest legitimate no-progress gap, the RetireDelay
+// window when Config.watchdogWindow is 0 (~1M cycles: two orders of
+// magnitude above the longest legitimate no-progress gap, the retireDelay
 // release lag).
 const DefaultWatchdogWindow = int64(1) << 20
 
-// watchdogWindow resolves Config.WatchdogWindow: 0 selects
-// max(DefaultWatchdogWindow, 8*RetireDelay); negative disables (returns 0).
-func (c Config) watchdogWindow() int64 {
-	w := c.WatchdogWindow
+// watchdogCycles resolves Config.watchdogWindow: 0 selects
+// max(DefaultWatchdogWindow, 8*retireDelay); negative disables (returns 0).
+func (c Config) watchdogCycles() int64 {
+	w := c.watchdogWindow
 	if w == 0 {
-		w = DefaultWatchdogWindow
-		if rd := 8 * int64(c.RetireDelay); rd > w {
-			w = rd
-		}
+		w = max(DefaultWatchdogWindow, 8*retireDelay)
 	}
 	if w < 0 {
 		return 0
@@ -253,14 +218,12 @@ func (c Config) maxCycles() int64 {
 
 // DRAMBytesPerCycle returns the whole-GPU DRAM bandwidth in bytes/cycle.
 func (c Config) DRAMBytesPerCycle() float64 {
-	return c.DRAMBandwidth * 1e9 / (float64(c.ClockMHz) * 1e6)
+	bw := DRAMBandwidth // a float64 variable, so bw*1e9 rounds as float64 arithmetic does
+	return bw * 1e9 / (float64(c.ClockMHz) * 1e6)
 }
 
 // SliceScale is the fraction of the chip being simulated.
-func (c Config) SliceScale() float64 { return float64(c.SimSMs) / float64(c.NumSMs) }
-
-// WarpsPerScheduler returns MaxWarpsPerSM / Schedulers.
-func (c Config) WarpsPerScheduler() int { return c.MaxWarpsPerSM / c.Schedulers }
+func (c Config) SliceScale() float64 { return float64(c.SimSMs) / NumSMs }
 
 // TraceMeta describes this configuration to a trace.Collector: SM count,
 // the skipped-span stall weight, and the slice-scaled DRAM bandwidth the
@@ -268,9 +231,9 @@ func (c Config) WarpsPerScheduler() int { return c.MaxWarpsPerSM / c.Schedulers 
 func (c Config) TraceMeta(interval int64) trace.Meta {
 	return trace.Meta{
 		SMs:               c.SimSMs,
-		Schedulers:        c.Schedulers,
+		Schedulers:        Schedulers,
 		Interval:          interval,
-		LineBytes:         c.LineBytes,
+		LineBytes:         lineBytes,
 		DRAMBytesPerCycle: c.DRAMBytesPerCycle() * c.SliceScale(),
 	}
 }

@@ -88,13 +88,13 @@ func formatCrashDump(b *strings.Builder, g *gpuState, se *SimError) {
 	fmt.Fprintf(b, "config: sms=%d ctas=%d duplo=%v lhb={e=%d w=%d oracle=%v} dense=%v retireDelay=%d ldstDepth=%d\n",
 		g.cfg.SimSMs, g.cfg.MaxCTAs, g.cfg.Duplo,
 		g.cfg.DetectCfg.LHB.Entries, g.cfg.DetectCfg.LHB.Ways, g.cfg.DetectCfg.LHB.Oracle,
-		g.cfg.DenseClock, g.cfg.RetireDelay, g.cfg.LDSTQueueDepth)
+		g.cfg.denseClock, retireDelay, ldstQueueDepth)
 	fmt.Fprintf(b, "chip:   nextCTA=%d/%d progress=%d lastProgressAt=%d watchdogWindow=%d\n",
 		g.nextCTA, g.totalCTAs, g.progress, g.guard.lastProgressAt, g.guard.window)
 
 	for _, sm := range g.sms {
 		fmt.Fprintf(b, "\nSM %d: resident=%d wake=%s l1Port=%d ldst=%s mshr=%d lhbRelease=%s\n",
-			sm.id, sm.resident, dumpCycle(sm.wake), sm.l1Port, dumpQueue(sm.ldstBusy, sm.cfg.LDSTQueueDepth),
+			sm.id, sm.resident, dumpCycle(sm.wake), sm.l1Port, dumpQueue(sm.ldstBusy, ldstQueueDepth),
 			sm.missesInFlight(se.Cycle), dumpReleases(sm.lhbRelease[sm.lhbHead:]))
 		fmt.Fprintf(b, "  stats: %s\n", sm.stats.DumpSummary())
 		shown, active := 0, 0

@@ -13,7 +13,7 @@ const (
 	// built-in runaway bound).
 	PhaseCycleLimit = "cycle-limit"
 	// PhaseWatchdog: the forward-progress watchdog fired — no instruction
-	// issued and no ROB entry retired for a whole WatchdogWindow.
+	// issued and no ROB entry retired for a whole watchdog window.
 	PhaseWatchdog = "watchdog"
 	// PhasePanic: a panic inside the cycle loop was contained and
 	// converted to an error.

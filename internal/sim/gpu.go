@@ -200,8 +200,9 @@ const maxSimCycles = int64(4) << 30
 // one of its warps can issue, and until then stalls without a pass. Every
 // Stats field (including IssueStallCycles / LDSTStallCycles) is
 // byte-identical to the dense loop that ticks every SM and runs every
-// scheduler on every cycle, which remains available behind cfg.DenseClock
-// (asserted by TestClockModesByteIdentical; see DESIGN.md §3 "Clocking").
+// scheduler on every cycle, which this package's tests keep as their
+// oracle (asserted by TestClockModesByteIdentical; see DESIGN.md §3
+// "Clocking").
 //
 // Observability: with cfg.Tracer set, every SM emits pipeline events
 // (issues, stalls, skipped spans, LHB hits/releases, memory-level
@@ -212,7 +213,8 @@ const maxSimCycles = int64(4) << 30
 //
 // Hardening: Run is RunContext with a background context; both are
 // bounded (Config.MaxCycles, Config.WallTimeout), interruptible, watched
-// for forward progress (Config.WatchdogWindow), and contain panics from
+// for forward progress (max(DefaultWatchdogWindow, 8*retireDelay) cycles
+// without an issue or a retirement), and contain panics from
 // the cycle loop — failures come back as a *SimError, with a crash dump
 // on watchdog fires and contained panics (DESIGN.md §5 "Robustness").
 // The hardening is strictly observational: a healthy run's Result is
@@ -251,7 +253,7 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (Result, error) {
 		kernel:    k,
 		mem:       mem,
 		totalCTAs: k.TotalCTAs(),
-		ctasPerSM: k.CTAsPerSM(cfg),
+		ctasPerSM: k.CTAsPerSM(),
 	}
 	if cfg.MaxCTAs > 0 && g.totalCTAs > cfg.MaxCTAs {
 		g.totalCTAs = cfg.MaxCTAs
@@ -260,7 +262,7 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (Result, error) {
 	for i := range g.sms {
 		sm := newSM(cfg, i, mem, g)
 		if cfg.Duplo {
-			du, err := duplo.NewDetectionUnit(cfg.DetectCfg, cfg.MaxWarpsPerSM, 32)
+			du, err := duplo.NewDetectionUnit(cfg.DetectCfg, MaxWarpsPerSM, 32)
 			if err != nil {
 				return Result{}, err
 			}
@@ -277,7 +279,7 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (Result, error) {
 	for _, sm := range g.sms {
 		g.dispatchTo(sm)
 	}
-	g.guard = runGuard{ctx: ctx, done: ctx.Done(), maxCycles: cfg.maxCycles(), window: cfg.watchdogWindow()}
+	g.guard = runGuard{ctx: ctx, done: ctx.Done(), maxCycles: cfg.maxCycles(), window: cfg.watchdogCycles()}
 	if hook := testFaultInjection; hook != nil {
 		hook(g)
 	}
@@ -341,7 +343,7 @@ func (g *gpuState) runLoops() (now int64, err error) {
 				g.smTicks++
 				issued += iss
 				sm.wake = now + 1
-				if iss == 0 && !g.cfg.DenseClock {
+				if iss == 0 && !g.cfg.denseClock {
 					sm.wake = sm.nextWake(now)
 				}
 			}

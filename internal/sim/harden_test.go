@@ -55,7 +55,7 @@ func injectStuckWarps(g *gpuState) {
 func injectFullLDST(g *gpuState, smIdx ...int) {
 	for _, i := range smIdx {
 		sm := g.sms[i]
-		for len(sm.ldstBusy) < sm.cfg.LDSTQueueDepth {
+		for len(sm.ldstBusy) < ldstQueueDepth {
 			sm.ldstBusy = append(sm.ldstBusy, farFuture)
 		}
 	}
@@ -165,8 +165,8 @@ func TestInjectedLivelockWatchdog(t *testing.T) {
 			name := fmt.Sprintf("dense=%v/%s", dense, inj.name)
 			t.Run(name, func(t *testing.T) {
 				cfg := testConfig()
-				cfg.DenseClock = dense
-				cfg.WatchdogWindow = window
+				cfg.denseClock = dense
+				cfg.watchdogWindow = window
 				cfg.CrashDumpDir = t.TempDir()
 				setInjection(t, inj.fn)
 				_, err := Run(cfg, k)
@@ -198,9 +198,9 @@ func TestInjectedLivelockWatchdog(t *testing.T) {
 					t.Fatalf("dump shows stats for %d SMs, want %d", len(sms), cfg.SimSMs)
 				}
 				for i, st := range sms {
-					if want := int64(cfg.Schedulers) * se.Cycle; st[0]+st[1] != want {
+					if want := Schedulers * se.Cycle; st[0]+st[1] != want {
 						t.Errorf("SM %d: instr %d + issueStall %d != %d schedulers x %d cycles",
-							i, st[0], st[1], cfg.Schedulers, se.Cycle)
+							i, st[0], st[1], Schedulers, se.Cycle)
 					}
 				}
 			})
@@ -217,7 +217,7 @@ func TestRunContextCancel(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			cfg := testConfig()
-			cfg.WatchdogWindow = -1 // disabled: only the cancel can end these runs
+			cfg.watchdogWindow = -1 // disabled: only the cancel can end these runs
 			setInjection(t, injectStuckWarps)
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
@@ -264,7 +264,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 func TestWallTimeout(t *testing.T) {
 	k := hardenKernel(t)
 	cfg := testConfig()
-	cfg.WatchdogWindow = -1
+	cfg.watchdogWindow = -1
 	cfg.WallTimeout = 20 * time.Millisecond
 	setInjection(t, injectStuckWarps)
 	_, err := Run(cfg, k)
@@ -280,7 +280,7 @@ func TestMaxCycles(t *testing.T) {
 	for _, dense := range []bool{false, true} {
 		t.Run(fmt.Sprintf("dense=%v", dense), func(t *testing.T) {
 			cfg := testConfig()
-			cfg.DenseClock = dense
+			cfg.denseClock = dense
 			cfg.MaxCycles = 1000
 			_, err := Run(cfg, k)
 			se := asSimError(t, err, PhaseCycleLimit)
@@ -329,7 +329,7 @@ func TestPanicContainment(t *testing.T) {
 func TestCrashDumpContainsTraceTail(t *testing.T) {
 	k := hardenKernel(t)
 	cfg := testConfig()
-	cfg.WatchdogWindow = 2000
+	cfg.watchdogWindow = 2000
 	cfg.CrashDumpDir = t.TempDir()
 	col := trace.NewCollector(cfg.TraceMeta(1000))
 	cfg.Tracer = col
@@ -370,7 +370,7 @@ func TestHardenedRunByteIdentical(t *testing.T) {
 			name := fmt.Sprintf("dense=%v/duplo=%v", dense, dup)
 			t.Run(name, func(t *testing.T) {
 				cfg := testConfig()
-				cfg.DenseClock = dense
+				cfg.denseClock = dense
 				cfg.Duplo = dup
 				plain, err := Run(cfg, k)
 				if err != nil {
@@ -379,7 +379,7 @@ func TestHardenedRunByteIdentical(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				hcfg := cfg
-				hcfg.WatchdogWindow = DefaultWatchdogWindow
+				hcfg.watchdogWindow = DefaultWatchdogWindow
 				hcfg.MaxCycles = maxSimCycles
 				hcfg.WallTimeout = time.Hour
 				hcfg.CrashDumpDir = t.TempDir()

@@ -66,9 +66,9 @@ func checkInvariants(t *testing.T, r Result, duploOn bool) {
 	// Issue-slot conservation: on every cycle 0..Cycles each scheduler of
 	// each SM either issues or stalls, whether the clock ticked it or
 	// accounted its skipped cycle arithmetically.
-	if slots := int64(r.Config.Schedulers*r.Config.SimSMs) * (r.Cycles + 1); r.Instructions+r.IssueStallCycles != slots {
+	if slots := int64(Schedulers*r.Config.SimSMs) * (r.Cycles + 1); r.Instructions+r.IssueStallCycles != slots {
 		t.Errorf("instructions %d + issue stalls %d != %d issue slots (%d schedulers x %d SMs x %d cycles)",
-			r.Instructions, r.IssueStallCycles, slots, r.Config.Schedulers, r.Config.SimSMs, r.Cycles+1)
+			r.Instructions, r.IssueStallCycles, slots, Schedulers, r.Config.SimSMs, r.Cycles+1)
 	}
 }
 
@@ -153,7 +153,7 @@ func TestSharedVariantConcurrency(t *testing.T) {
 	for v, n := range want {
 		k, _ := NewConvKernel("smem", testLayer)
 		k.Variant = v
-		if got := k.CTAsPerSM(cfg); got != n {
+		if got := k.CTAsPerSM(); got != n {
 			t.Errorf("%v: CTAs/SM %d, want %d", v, got, n)
 		}
 		if _, err := Run(cfg, k); err != nil {

@@ -197,24 +197,26 @@ func (p *warpProgram) At(i int) Instr {
 // lineSpan appends the distinct cache-line addresses a tile memory
 // operation touches to dst and returns it. Segments of RowBytes at
 // RowPitch intervals are decomposed into lineBytes-aligned lines.
-func lineSpan(dst []uint64, in Instr, lineBytes int) []uint64 {
-	lb := uint64(lineBytes)
+func lineSpan(dst []uint64, in Instr) []uint64 {
 	for r := 0; r < tileRows; r++ {
-		seg := in.Addr + uint64(r)*uint64(in.RowPitch)
-		first := seg &^ (lb - 1)
-		last := (seg + uint64(in.RowBytes) - 1) &^ (lb - 1)
-		for line := first; line <= last; line += lb {
-			dup := false
-			for _, v := range dst {
-				if v == line {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				dst = append(dst, line)
-			}
+		dst = appendRowLines(dst, in.Addr+uint64(r)*uint64(in.RowPitch), in.RowBytes)
+	}
+	return dst
+}
+
+// appendRowLines appends the lines of the rowBytes-byte row at addr to dst,
+// skipping those dst already holds, and returns it. Callers append a
+// tile's rows in ascending address order and each row's lines are
+// contiguous, so the collected lines ascend: a line can only repeat the
+// last one collected, never land in a gap below it.
+func appendRowLines(dst []uint64, addr uint64, rowBytes uint16) []uint64 {
+	first := addr &^ (lineBytes - 1)
+	last := (addr + uint64(rowBytes) - 1) &^ (lineBytes - 1)
+	for line := first; line <= last; line += lineBytes {
+		if n := len(dst); n > 0 && line <= dst[n-1] {
+			continue
 		}
+		dst = append(dst, line)
 	}
 	return dst
 }

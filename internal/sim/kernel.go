@@ -215,20 +215,9 @@ func (k *Kernel) KTiles() int { return k.KPad / 16 }
 
 // CTAsPerSM returns how many CTAs fit concurrently on one SM, limited by
 // shared memory (§II-C), the 8-warps-per-CTA occupancy, and MaxCTAsPerSM.
-func (k *Kernel) CTAsPerSM(cfg Config) int {
+func (k *Kernel) CTAsPerSM() int {
 	bySmem := (sharedMemoryKB << 10) / k.Variant.sharedBytesPerCTA()
-	byWarp := cfg.MaxWarpsPerSM / warpsPerCTA
-	n := bySmem
-	if byWarp < n {
-		n = byWarp
-	}
-	if cfg.MaxCTAsPerSM < n {
-		n = cfg.MaxCTAsPerSM
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, min(bySmem, MaxWarpsPerSM/warpsPerCTA, MaxCTAsPerSM))
 }
 
 // ctaCoords returns the D-tile element origin of CTA index i (N-major

@@ -275,7 +275,7 @@ func TestHotPathAllocs(t *testing.T) {
 	check("lineSpan", func() {
 		for pc := 0; pc < w.prog.Len(); pc++ {
 			if in := w.prog.At(pc); in.Op != OpMMA {
-				lines = lineSpan(lines[:0], in, cfg.LineBytes)
+				lines = lineSpan(lines[:0], in)
 			}
 		}
 	})
@@ -321,7 +321,7 @@ func TestHotPathAllocs(t *testing.T) {
 	})
 	load := w.prog.At(0) // an A-tile load inside the workspace
 	for _, lhb := range []duplo.LHBConfig{duplo.DefaultLHBConfig(), {Oracle: true}} {
-		du, err := duplo.NewDetectionUnit(duplo.DetectionUnitConfig{LHB: lhb}, cfg.MaxWarpsPerSM, 32)
+		du, err := duplo.NewDetectionUnit(duplo.DetectionUnitConfig{LHB: lhb}, MaxWarpsPerSM, 32)
 		if err != nil {
 			t.Fatal(err)
 		}

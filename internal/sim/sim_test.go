@@ -42,18 +42,17 @@ func TestKernelGeometry(t *testing.T) {
 
 func TestCTAsPerSMVariants(t *testing.T) {
 	k, _ := NewConvKernel("test", testLayer)
-	cfg := testConfig()
 	// §II-C: C-only -> 3 CTAs, A+C -> 2, A+B+C -> 1.
 	k.Variant = SharedCOnly
-	if got := k.CTAsPerSM(cfg); got != 3 {
+	if got := k.CTAsPerSM(); got != 3 {
 		t.Errorf("C-only CTAs = %d, want 3", got)
 	}
 	k.Variant = SharedAC
-	if got := k.CTAsPerSM(cfg); got != 2 {
+	if got := k.CTAsPerSM(); got != 2 {
 		t.Errorf("A+C CTAs = %d, want 2", got)
 	}
 	k.Variant = SharedABC
-	if got := k.CTAsPerSM(cfg); got != 1 {
+	if got := k.CTAsPerSM(); got != 1 {
 		t.Errorf("A+B+C CTAs = %d, want 1", got)
 	}
 }
@@ -149,19 +148,19 @@ func TestLineSpan(t *testing.T) {
 	// 16 rows of 32 bytes with a 32-byte pitch: fully contiguous 512B ->
 	// 4 lines of 128B.
 	in := Instr{Addr: 0x1000, RowPitch: 32, RowBytes: 32}
-	lines := lineSpan(nil, in, 128)
+	lines := lineSpan(nil, in)
 	if len(lines) != 4 {
 		t.Fatalf("contiguous tile lines = %d, want 4", len(lines))
 	}
 	// 16 rows with a large pitch: 16 distinct lines.
 	in = Instr{Addr: 0x1000, RowPitch: 4096, RowBytes: 32}
-	lines = lineSpan(nil, in, 128)
+	lines = lineSpan(nil, in)
 	if len(lines) != 16 {
 		t.Fatalf("strided tile lines = %d, want 16", len(lines))
 	}
 	// Misaligned segment straddling a line boundary.
 	in = Instr{Addr: 0x10F0, RowPitch: 4096, RowBytes: 32}
-	lines = lineSpan(nil, in, 128)
+	lines = lineSpan(nil, in)
 	if len(lines) != 32 {
 		t.Fatalf("straddling tile lines = %d, want 32", len(lines))
 	}
@@ -365,25 +364,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("SimSMs>NumSMs should fail")
 	}
-	bad = good
-	bad.Schedulers = 3
-	if err := bad.Validate(); err == nil {
-		t.Error("non-dividing schedulers should fail")
-	}
-	bad = good
-	bad.SectorBytes = 33
-	if err := bad.Validate(); err == nil {
-		t.Error("bad sector size should fail")
-	}
-	// An L2 of no ways divided by zero, and one of negative ways failed
-	// makeslice, inside sim.Run before its panic barrier.
-	for _, ways := range []int{0, -1} {
-		bad = good
-		bad.L2Ways = ways
-		if err := bad.Validate(); err == nil {
-			t.Errorf("L2Ways=%d should fail", ways)
-		}
-	}
 	// Caches whose byte size overflows, or whose tag arrays would not fit
 	// in memory.
 	for _, kb := range []int{math.MaxInt >> 2, 1 << 40, maxCacheLines/8 + 1} {
@@ -405,6 +385,32 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestMachineConstants checks what the simulator assumes of the fixed
+// machine's constants.
+func TestMachineConstants(t *testing.T) {
+	if Schedulers <= 0 || MaxWarpsPerSM%Schedulers != 0 {
+		t.Errorf("%d schedulers must divide %d warps", Schedulers, MaxWarpsPerSM)
+	}
+	// retire's due set and each scheduler's schedLive are one uint64.
+	if MaxWarpsPerSM <= 0 || MaxWarpsPerSM > 64 {
+		t.Errorf("MaxWarpsPerSM %d must be in 1..64", MaxWarpsPerSM)
+	}
+	if L2Ways <= 0 || ldstQueueDepth <= 0 {
+		t.Errorf("L2Ways %d and LDST queue depth %d must be positive", L2Ways, ldstQueueDepth)
+	}
+	if DRAMBandwidth <= 0 {
+		t.Errorf("DRAM bandwidth %v must be positive", DRAMBandwidth)
+	}
+	if retireDelay < 0 {
+		t.Errorf("retireDelay %d must be >= 0", retireDelay)
+	}
+	// Line addresses are masks of lineBytes-1, and cache sets index by
+	// shifting out its trailing zeros.
+	if lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
+		t.Errorf("lineBytes %d must be a power of two", lineBytes)
+	}
+}
+
 // TestL1EvictedPendingMissMerges fills one L1 set with misses in flight,
 // evicts the least recently used of them with one more miss, and reads
 // the evicted line twice: before its fill the read merges into the miss in
@@ -414,7 +420,7 @@ func TestL1EvictedPendingMissMerges(t *testing.T) {
 	cfg := testConfig()
 	var mem Stats
 	sm := newSM(cfg, 0, newMemSystem(cfg, &mem), &gpuState{cfg: cfg})
-	stride := uint64(sm.l1.sets * cfg.LineBytes) // lines this far apart share a set
+	stride := uint64(sm.l1.sets * lineBytes) // lines this far apart share a set
 	ways := int64(sm.l1.ways)
 	fills := make([]int64, ways+1)
 	for i := range fills {
@@ -484,7 +490,7 @@ func TestMissesInFlight(t *testing.T) {
 	cfg := testConfig()
 	var mem Stats
 	sm := newSM(cfg, 0, newMemSystem(cfg, &mem), &gpuState{cfg: cfg})
-	stride := uint64(sm.l1.sets * cfg.LineBytes)
+	stride := uint64(sm.l1.sets * lineBytes)
 	var last int64
 	for i := 0; i <= sm.l1.ways; i++ { // one more miss than the set holds
 		fill, _ := sm.accessLine(uint64(i)*stride, int64(i))

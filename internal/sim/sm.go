@@ -91,20 +91,16 @@ type smState struct {
 	// dead entries (see mshrSweepMin).
 	mshrSweepAt int
 
-	l1Port int64   // next free L1 tag-port cycle (1 line/cycle)
-	pbFree []int64 // per-scheduler processing-block (tensor core) free cycle
+	l1Port int64             // next free L1 tag-port cycle (1 line/cycle)
+	pbFree [Schedulers]int64 // per-scheduler processing-block (tensor core) free cycle
 
 	warps []warpCtx
-	// liveMask mirrors warps[s].active as a bitset (bit s of word s/64) so
-	// the per-cycle scans (retire, nextWake) touch only live slots instead
-	// of walking all MaxWarpsPerSM entries. schedLive is the same scoreboard
-	// folded per scheduler: bit k of schedLive[sid] covers slot sid +
-	// k*Schedulers, which keeps scheduleOne's strided oldest-first scan in
-	// its original slot order. Both are maintained exclusively by
-	// activateSlot/deactivateSlot.
-	liveMask  []uint64
-	schedLive [][]uint64
-	greedy    []int // per-scheduler greedy warp slot (GTO)
+	// schedLive is the live-warp scoreboard folded per scheduler: bit k of
+	// schedLive[sid] mirrors warps[sid+k*Schedulers].active, which keeps
+	// scheduleOne's strided oldest-first scan in slot order while touching
+	// only live slots. Only activateSlot/deactivateSlot maintain it.
+	schedLive [Schedulers]uint64
+	greedy    [Schedulers]int // per-scheduler greedy warp slot (GTO)
 	ldstBusy  []int64
 
 	// schedWake[sid] is the first cycle at which scheduler sid can issue,
@@ -113,23 +109,21 @@ type smState struct {
 	// warp waiting on the full LDST queue. Until schedWake[sid], tick
 	// charges sid's stall without running it (scheduleOne has the proof);
 	// activateSlot resets the wake, since a placed warp can issue at once.
-	schedWake    []int64
-	schedBlocked []bool
+	schedWake    [Schedulers]int64
+	schedBlocked [Schedulers]bool
 
 	// robHeads is a min-heap of the live warps' ROB heads by completion
 	// cycle, one entry per warp whose ROB is non-empty: robPush adds a
 	// warp's entry when its ROB was empty, and retire pops the due ones
-	// and pushes each warp's new head. Its top is retireDue. dueSlots is
-	// retire's scratch bitset of the popped slots (liveMask's layout).
+	// and pushes each warp's new head. Its top is retireDue.
 	robHeads robHeap
-	dueSlots []uint64
 	// ldstDue is the earliest ldstBusy completion (farFuture: none). Only
 	// drainLDST drops a queue slot, and it recomputes ldstDue as it scans;
 	// ldstPush lowers it. nextWake reads it instead of scanning again.
 	ldstDue int64
 
 	// lhbRelease[lhbHead:] is a FIFO of pending LHB entry releases: a
-	// retired load's entries are released RetireDelay cycles after the
+	// retired load's entries are released retireDelay cycles after the
 	// instruction pops from the ROB (the modeled register lifetime;
 	// release times are monotone because pops are).
 	lhbRelease []lhbReleaseEvt
@@ -160,23 +154,12 @@ func newSM(cfg Config, id int, mem *memSystem, gpu *gpuState) *smState {
 		mem:          mem,
 		gpu:          gpu,
 		tr:           cfg.Tracer,
-		l1:           newCacheArray(cfg.L1KB<<10, cfg.LineBytes, l1Ways),
-		pbFree:       make([]int64, cfg.Schedulers),
-		warps:        make([]warpCtx, cfg.MaxWarpsPerSM),
-		greedy:       make([]int, cfg.Schedulers),
-		schedWake:    make([]int64, cfg.Schedulers),
-		schedBlocked: make([]bool, cfg.Schedulers),
+		l1:           newCacheArray(cfg.L1KB<<10, lineBytes, l1Ways),
+		warps:        make([]warpCtx, MaxWarpsPerSM),
 		ctaWarpsLeft: make(map[int]int),
 		lineBuf:      make([]uint64, 0, 64),
 		mshrSweepAt:  mshrSweepMin,
 		ldstDue:      farFuture,
-	}
-	sm.liveMask = make([]uint64, (len(sm.warps)+63)/64)
-	sm.dueSlots = make([]uint64, len(sm.liveMask))
-	sm.schedLive = make([][]uint64, cfg.Schedulers)
-	perSched := (len(sm.warps) + cfg.Schedulers - 1) / cfg.Schedulers
-	for i := range sm.schedLive {
-		sm.schedLive[i] = make([]uint64, (perSched+63)/64)
 	}
 	for i := range sm.greedy {
 		sm.greedy[i] = -1
@@ -184,21 +167,18 @@ func newSM(cfg Config, id int, mem *memSystem, gpu *gpuState) *smState {
 	return sm
 }
 
-// activateSlot marks warp slot s live in both scoreboards (warps[s].active
-// is set by the caller's slot initialization) and wakes its scheduler.
+// activateSlot marks warp slot s live in schedLive (warps[s].active is set
+// by the caller's slot initialization) and wakes its scheduler.
 func (sm *smState) activateSlot(s int) {
-	sm.liveMask[s>>6] |= 1 << uint(s&63)
-	sid, k := s%sm.cfg.Schedulers, s/sm.cfg.Schedulers
-	sm.schedLive[sid][k>>6] |= 1 << uint(k&63)
+	sid := s % Schedulers
+	sm.schedLive[sid] |= 1 << uint(s/Schedulers)
 	sm.schedWake[sid] = 0
 }
 
-// deactivateSlot retires warp slot s from both scoreboards.
+// deactivateSlot retires warp slot s from schedLive.
 func (sm *smState) deactivateSlot(s int) {
 	sm.warps[s].active = false
-	sm.liveMask[s>>6] &^= 1 << uint(s&63)
-	k := s / sm.cfg.Schedulers
-	sm.schedLive[s%sm.cfg.Schedulers][k>>6] &^= 1 << uint(k&63)
+	sm.schedLive[s%Schedulers] &^= 1 << uint(s/Schedulers)
 }
 
 // placeCTA installs a CTA's warps into free slots. Caller guarantees
@@ -261,7 +241,7 @@ func (sm *smState) placeCTA(k *Kernel, cta int, launchSeq int64) {
 
 // tick advances the SM by one cycle: LHB releases, retirement, LDST queue
 // drain, then one scheduling attempt per warp scheduler. A scheduler whose
-// wake has not come stalls without a pass (unless cfg.DenseClock), as its
+// wake has not come stalls without a pass (unless cfg.denseClock), as its
 // pass would have. It returns how many instructions issued, and records
 // the cycle and how many schedulers stalled on a full LDST queue, which
 // settle charges to every cycle the SM then skips.
@@ -277,8 +257,8 @@ func (sm *smState) tick(now int64) (issued int) {
 		sm.sweepMSHR(now)
 	}
 	ldstBlocked := 0
-	for sid, wake := range sm.schedWake {
-		if (sm.cfg.DenseClock || wake <= now) && sm.scheduleOne(sid, now) {
+	for sid := range Schedulers {
+		if (sm.cfg.denseClock || sm.schedWake[sid] <= now) && sm.scheduleOne(sid, now) {
 			issued++
 			continue
 		}
@@ -290,12 +270,12 @@ func (sm *smState) tick(now int64) (issued int) {
 			ldstBlocked++
 		}
 	}
-	if sm.tr != nil && issued < sm.cfg.Schedulers {
+	if sm.tr != nil && issued < Schedulers {
 		// Every non-issuing scheduler counted one IssueStallCycle this
 		// tick; fold them into a single stall event.
 		sm.tr.Emit(sm.id, trace.Event{
 			Cycle: now, Kind: trace.KindStall,
-			A: int64(sm.cfg.Schedulers - issued), B: int64(ldstBlocked),
+			A: int64(Schedulers - issued), B: int64(ldstBlocked),
 			Sched: -1, Warp: -1,
 		})
 	}
@@ -315,7 +295,7 @@ func (sm *smState) settle(now int64) {
 		return
 	}
 	sm.lastTick = now - 1
-	sm.stats.IssueStallCycles += span * int64(sm.cfg.Schedulers)
+	sm.stats.IssueStallCycles += span * Schedulers
 	sm.stats.LDSTStallCycles += span * int64(sm.ldstBlocked)
 	if sm.tr != nil {
 		sm.tr.Emit(sm.id, trace.Event{
@@ -327,10 +307,10 @@ func (sm *smState) settle(now int64) {
 }
 
 // retire pops completed instructions in program order per warp.
-// Retired tensor-core-loads schedule their LHB entry releases RetireDelay
+// Retired tensor-core-loads schedule their LHB entry releases retireDelay
 // cycles later: with the warp-register renaming of [15], a destination
 // register group stays valid well past instruction completion, until the
-// rename pool reclaims it; RetireDelay is the calibrated model of that
+// rename pool reclaims it; retireDelay is the calibrated model of that
 // reuse window (§V-C governs the hit-rate ceiling through it).
 //
 // Only the warps whose ROB head is due run, popped from robHeads, and they
@@ -339,22 +319,17 @@ func (sm *smState) settle(now int64) {
 // its slot order fixes the order of lhbRelease appends and which of two
 // CTAs finishing in one tick backfills first.
 func (sm *smState) retire(now int64) {
-	delay := int64(sm.cfg.RetireDelay)
+	var due uint64 // bit s: slot s's ROB head popped
 	for sm.retireDue() <= now {
-		s := sm.robHeads.pop().slot
-		sm.dueSlots[s>>6] |= 1 << uint(s&63)
+		due |= 1 << uint(sm.robHeads.pop().slot)
 	}
-	for wi, word := range sm.dueSlots {
-		sm.dueSlots[wi] = 0
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			s := wi<<6 + b
-			w := &sm.warps[s]
-			sm.retireWarp(w, s, now, delay)
-			if !w.robEmpty() {
-				sm.robHeads.push(robHead{complete: w.rob[w.robHead].complete, slot: s})
-			}
+	for due != 0 {
+		s := bits.TrailingZeros64(due)
+		due &^= 1 << uint(s)
+		w := &sm.warps[s]
+		sm.retireWarp(w, s, now)
+		if !w.robEmpty() {
+			sm.robHeads.push(robHead{complete: w.rob[w.robHead].complete, slot: s})
 		}
 	}
 }
@@ -431,14 +406,14 @@ func (h *robHeap) pop() robHead {
 
 // retireWarp pops warp s's completed ROB entries and releases its slot once
 // the program has drained (the per-warp body of retire; s is always live).
-func (sm *smState) retireWarp(w *warpCtx, s int, now, delay int64) {
+func (sm *smState) retireWarp(w *warpCtx, s int, now int64) {
 	for !w.robEmpty() {
 		e := &w.rob[w.robHead]
 		if e.complete > now {
 			break
 		}
 		if e.tracked {
-			sm.lhbRelease = append(sm.lhbRelease, lhbReleaseEvt{at: now + delay, tcLoad: e.tcLoad})
+			sm.lhbRelease = append(sm.lhbRelease, lhbReleaseEvt{at: now + retireDelay, tcLoad: e.tcLoad})
 		}
 		w.robHead++
 		// Forward-progress heartbeat for the watchdog: a ROB pop covers
@@ -514,7 +489,7 @@ func (sm *smState) ldstPush(t int64) {
 // but it leaves the table only when its line is requested again, so
 // without a sweep the table would keep one entry per such eviction over a
 // multi-million-cycle run. Live entries are bounded by the misses in
-// flight (at most LDSTQueueDepth loads' worth of lines), which can exceed
+// flight (at most ldstQueueDepth loads' worth of lines), which can exceed
 // this size, so the next sweep waits until the table is twice what the
 // last one left: a table full of live misses is not swept on every tick.
 const mshrSweepMin = 256
@@ -564,20 +539,18 @@ func (sm *smState) scheduleOne(sid int, now int64) bool {
 	// are gated; a pass that issues nothing gates them all.
 	best := -1
 	var bestAge int64 = 1 << 62
-	for wi, word := range sm.schedLive[sid] {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			s := (wi<<6+b)*sm.cfg.Schedulers + sid
-			w := &sm.warps[s]
-			if w.pc >= w.prog.Len() || s == g || w.age >= bestAge {
-				continue
-			}
-			if at, why := sm.gate(sid, w, now); at <= now {
-				best, bestAge = s, w.age
-			} else {
-				gated(at, why)
-			}
+	for live := sm.schedLive[sid]; live != 0; {
+		k := bits.TrailingZeros64(live)
+		live &^= 1 << uint(k)
+		s := k*Schedulers + sid
+		w := &sm.warps[s]
+		if w.pc >= w.prog.Len() || s == g || w.age >= bestAge {
+			continue
+		}
+		if at, why := sm.gate(sid, w, now); at <= now {
+			best, bestAge = s, w.age
+		} else {
+			gated(at, why)
 		}
 	}
 	if best >= 0 {
@@ -625,7 +598,7 @@ func (sm *smState) gate(sid int, w *warpCtx, now int64) (int64, gateReason) {
 	if at := w.regReady[reg]; at > now {
 		return at, gateReg
 	}
-	if len(sm.ldstBusy) >= sm.cfg.LDSTQueueDepth {
+	if len(sm.ldstBusy) >= ldstQueueDepth {
 		return sm.ldstDue, gateLDST
 	}
 	return now, gateOpen
@@ -650,9 +623,9 @@ func (sm *smState) issue(sid int, w *warpCtx, now int64) {
 		sm.issueLoad(w, in, now)
 	case OpMMA:
 		sm.stats.MMAs++
-		sm.pbFree[sid] = now + int64(sm.cfg.MMAInitiation)
-		w.regReady[in.Dst] = now + int64(sm.cfg.MMALatency)
-		sm.robPush(w, robEntry{complete: now + int64(sm.cfg.MMALatency)})
+		sm.pbFree[sid] = now + MMAInitiation
+		w.regReady[in.Dst] = now + mmaLatency
+		sm.robPush(w, robEntry{complete: now + mmaLatency})
 	case OpStoreD:
 		sm.issueStore(w, in, now)
 	}
@@ -675,7 +648,6 @@ func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 	var complete int64
 	anyMem := false
 	sm.lineBuf = sm.lineBuf[:0]
-	lb := uint64(sm.cfg.LineBytes)
 
 	for r := 0; r < tileRows; r++ {
 		rowAddr := in.Addr + uint64(r)*uint64(in.RowPitch)
@@ -700,19 +672,7 @@ func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 			continue
 		}
 		anyMem = true
-		// Collect this row's line(s), deduplicated across miss rows. Row
-		// addresses are monotone (RowPitch > 0) and each row's lines are
-		// contiguous, so collected lines are monotone too: a candidate can
-		// only duplicate the tail of what is already collected, never land
-		// in a gap below it.
-		first := rowAddr &^ (lb - 1)
-		last := (rowAddr + uint64(in.RowBytes) - 1) &^ (lb - 1)
-		for line := first; line <= last; line += lb {
-			if n := len(sm.lineBuf); n > 0 && line <= sm.lineBuf[n-1] {
-				continue
-			}
-			sm.lineBuf = append(sm.lineBuf, line)
-		}
+		sm.lineBuf = appendRowLines(sm.lineBuf, rowAddr, in.RowBytes)
 	}
 
 	// Memory path for the missing rows: line requests serialized on the L1
@@ -768,7 +728,6 @@ func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 // miss moves only a victim with a pending fill into the table.
 func (sm *smState) accessLine(line uint64, t int64) (int64, ServiceLevel) {
 	sm.stats.L1Accesses++
-	l1Lat := int64(sm.cfg.L1LatencyCycles)
 	set, i := sm.l1.find(line)
 	if i >= 0 {
 		if fill := sm.l1.lines[i].fill; fill > t {
@@ -776,7 +735,7 @@ func (sm *smState) accessLine(line uint64, t int64) (int64, ServiceLevel) {
 		}
 		sm.l1.touch(set, i)
 		sm.stats.L1Hits++
-		return t + l1Lat, ServiceL1
+		return t + l1LatencyCycles, ServiceL1
 	}
 	if fill, pending := sm.mshr.Get(line); pending {
 		if fill > t {
@@ -784,7 +743,7 @@ func (sm *smState) accessLine(line uint64, t int64) (int64, ServiceLevel) {
 		}
 		sm.mshr.Delete(line)
 	}
-	fill, src := sm.mem.readLine(line, t+l1Lat)
+	fill, src := sm.mem.readLine(line, t+l1LatencyCycles)
 	if victim, evicted := sm.l1.insert(set, cacheWay{tag: line, fill: fill}); evicted && victim.fill > t {
 		sm.mshr.Set(victim.tag, victim.fill)
 	}
@@ -823,7 +782,7 @@ func (sm *smState) issueStore(w *warpCtx, in Instr, now int64) {
 	if sm.du != nil {
 		sm.du.Store(in.Addr) // consistency hook (§IV-B); no-op outside workspace
 	}
-	sm.lineBuf = lineSpan(sm.lineBuf[:0], in, sm.cfg.LineBytes)
+	sm.lineBuf = lineSpan(sm.lineBuf[:0], in)
 	for range sm.lineBuf {
 		t := now
 		if sm.l1Port > t {
@@ -833,7 +792,7 @@ func (sm *smState) issueStore(w *warpCtx, in Instr, now int64) {
 		sm.stats.L1Accesses++
 		sm.mem.writeLine(t)
 	}
-	complete := now + int64(sm.cfg.StoreLatency)
+	complete := now + storeLatency
 	sm.ldstPush(complete)
 	sm.robPush(w, robEntry{complete: complete})
 }
