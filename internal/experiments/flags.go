@@ -16,8 +16,8 @@ import (
 // returned resolve rejects a negative -ctas, -workers or -max-cycles and
 // an -sms outside 1..sim.NumSMs, parses -predict, opens the -store
 // directory and starts the -cpuprofile/-memprofile profiles; its stop
-// ends the profiles and writes the heap profile. The caller sets the Options fields its own flags and
-// context decide.
+// ends the profiles and writes the heap profile. The caller sets the
+// Options fields its own flags and context decide.
 func RunFlags(fs *flag.FlagSet) (resolve func() (opts Options, stop func() error, err error)) {
 	o := DefaultOptions()
 	fs.IntVar(&o.MaxCTAs, "ctas", o.MaxCTAs, "max CTAs simulated per kernel (0 = full grid)")
